@@ -30,8 +30,6 @@ from .mulbase import (
 )
 from .conv import (
     BadParameter,
-    BilinearStep,
-    ConvParams,
     F2_SHORT_SCHEDULE,
     LengthMismatch,
     conv_acc,
@@ -66,4 +64,28 @@ from .euclid import (
 from .modmul import DegreeConstraint, MulmodBlocks, mulmod_acc, mulmod_acc_full, mulmod_blocks
 from . import reference
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # ff
+    "Field", "FieldError", "InversionOfZero", "is_prime",
+    # region
+    "Buffer", "CoeffRegion", "RestorationViolation", "Snapshot", "SplitTarget",
+    "VirtualWrite", "poly_region", "reverse_in_place", "snapshot", "split_blocks",
+    # instrument
+    "AllocGuard", "GuardViolation", "OpCounter", "Scope", "measure", "measure_call",
+    # mulbase
+    "MulStrategy", "NonMonicLeadingZero", "Schoolbook", "SingularDiagonal",
+    "TargetTooShort", "acc_mul_full", "acc_mul_short", "default_strategy", "quad_rem",
+    "quad_rem_overplace", "quad_tri_mul_overplace", "quad_tri_solve_overplace",
+    # conv
+    "BadParameter", "F2_SHORT_SCHEDULE", "LengthMismatch", "conv_acc", "conv_even_1",
+    "conv_even_f", "conv_odd_f", "plan_convolution", "short_acc", "short_acc_ragged",
+    # toeplitz
+    "CirculantView", "ToeplitzView", "banded_upper_mul_overplace",
+    "banded_upper_solve_overplace", "circulant_acc", "rect_toeplitz_acc",
+    "square_toeplitz_acc", "tri_toeplitz_mul_overplace", "tri_toeplitz_solve_overplace",
+    # euclid
+    "EuclidContext", "NonInvertibleLeading", "divmod_over_place", "divmod_over_place_inv",
+    "euclid_context", "remainder_acc", "remainder_blockwise", "remainder_in_place",
+    # modmul
+    "DegreeConstraint", "MulmodBlocks", "mulmod_acc", "mulmod_acc_full", "mulmod_blocks",
+]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .instrument import tracked
 from .mulbase import MulStrategy, _resolve, acc_mul_full
-from .region import CoeffRegion, SplitTarget, vec_addmul, vec_iadd, vec_scale
+from .region import CoeffRegion, SplitTarget, _mac, vec_addmul, vec_iadd, vec_scale
 
 
 class LengthMismatch(ValueError):
@@ -42,22 +42,35 @@ class ConvParams:
     g: int | None = None     # valid whenever the field is not GF(2)
 
 
+def _route(n: int, f: int) -> str:
+    """The variant computing c += a*b mod (X^n - f); the one routing decision."""
+    if f == 0:
+        return "short"
+    if n % 2 == 1:
+        return "odd"
+    return "even_one" if f == 1 else "even_general"
+
+
+def _scaling_pair(field):
+    """(lambda, g = lambda/(lambda - 1)) for the truncated product; None over GF(2)."""
+    if not field.has_element_outside_01:
+        return None, None
+    lam = 2
+    return lam, field.mul(lam, field.inv(lam - 1))
+
+
+def _check_f(field, f: int) -> None:
+    if not 0 <= f < field.p:
+        raise BadParameter(f"f must be a canonical residue mod {field.p}: {f}")
+
+
 def plan_convolution(field, n: int, f: int) -> ConvParams:
     if n < 1:
         raise BadParameter(f"convolution length must be >= 1: {n}")
-    if not 0 <= f < field.p:
-        raise BadParameter(f"f must be a canonical residue mod {field.p}: {f}")
-    lam = g = None
-    if field.has_element_outside_01:
-        lam = 2
-        g = field.mul(lam, field.inv(lam - 1))
-    if f == 0:
-        return ConvParams(n, f, "short", n // 3, lam, g)
-    if n % 2 == 1:
-        return ConvParams(n, f, "odd", (n + 1) // 2, lam, g)
-    if f == 1:
-        return ConvParams(n, f, "even_one", n // 2, lam, g)
-    return ConvParams(n, f, "even_general", n // 2, lam, g)
+    _check_f(field, f)
+    route = _route(n, f)
+    t = {"short": n // 3, "odd": (n + 1) // 2}.get(route, n // 2)
+    return ConvParams(n, f, route, t, *_scaling_pair(field))
 
 
 def _check_triple(c, a, b):
@@ -71,35 +84,20 @@ def _check_triple(c, a, b):
 
 def _conv_quad(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, f: int,
                negate: bool) -> None:
-    """Quadratic wrapped accumulation; base case of every variant."""
-    field = c.field
-    p = field.p
+    """Quadratic wrapped accumulation; base case of every variant.
+
+    c[k] += sum_{i<=k} a[i]*b[k-i] + f * sum_{i>k} a[i]*b[n+k-i], two
+    dot products per column against the reversed view of b.
+    """
     n = len(c)
-    da, oa, sa, _ = a.raw()
-    db, ob, sb, _ = b.raw()
-    dc, oc, sc, _ = c.raw()
-    extra_muls = 0
-    for i in range(n):
-        av = da[oa + sa * i]
-        if negate:
-            av = -av % p
-        ic = oc + sc * i
-        ib = ob
-        for _ in range(n - i):
-            dc[ic] = (dc[ic] + av * db[ib]) % p
-            ic += sc
-            ib += sb
-        if i:
-            avf = av * f % p
-            extra_muls += 1
-            ic = oc
-            for _ in range(i):
-                dc[ic] = (dc[ic] + avf * db[ib]) % p
-                ic += sc
-                ib += sb
-    scope = field.scope
+    t = -1 if negate else 1
+    br = b.reversed()
+    for k in range(n):
+        _mac(c, k, 1, t, a, 0, br, n - 1 - k, k + 1)
+        _mac(c, k, 1, t * f, a, k + 1, br, 0, n - 1 - k)
+    scope = c.field.scope
     if scope is not None:
-        scope.count(adds=n * n, muls=n * n + extra_muls)
+        scope.count(adds=n * n, muls=n * n + n - 1)
 
 
 @tracked
@@ -114,7 +112,7 @@ def conv_even_f(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, f: int,
     strategy = _resolve(strategy)
     n = _check_triple(c, a, b)
     field = c.field
-    if f in (0, 1) or not 1 < f < field.p:
+    if not 1 < f < field.p:
         raise BadParameter(f"f must lie outside {{0, 1}}: {f}")
     if n % 2:
         raise BadParameter(f"length must be even: {n}")
@@ -208,15 +206,6 @@ def conv_odd_f(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, f: int,
     vec_scale(wrap, f)
 
 
-def _conv_nonzero_f(c, a, b, f, negate, strategy):
-    if len(c) % 2 == 1:
-        conv_odd_f(c, a, b, f, negate, strategy)
-    elif f == 1:
-        conv_even_1(c, a, b, negate, strategy)
-    else:
-        conv_even_f(c, a, b, f, negate, strategy)
-
-
 # The five full products of the truncated-product schedule over GF(2), on
 # thirds.  Each record is (a_adds, a_block, b_adds, b_block, rows, couple):
 # apply the listed block additions to the operands, accumulate the full
@@ -262,15 +251,8 @@ def _apply_bilinear_step(step: BilinearStep, cb, ab, bb, negate, strategy):
 
 def _scalar_tail(c, a, b, k, negate):
     """c[k] += sum_{i=0..k} a[i]*b[k-i], one scalar accumulation sweep."""
-    field = c.field
-    p = field.p
-    acc = 0
-    for i in range(k + 1):
-        acc += a[i] * b[k - i]
-    if negate:
-        acc = -acc
-    c[k] = (c[k] + acc) % p
-    scope = field.scope
+    _mac(c, k, 1, -1 if negate else 1, a, 0, b.reversed(), len(b) - 1 - k, k + 1)
+    scope = c.field.scope
     if scope is not None:
         scope.count(adds=k + 1, muls=k + 1)
 
@@ -296,13 +278,12 @@ def short_acc(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion,
         strategy.acc_mul_short(c, a, b, n, negate)
         return
     if field.has_element_outside_01:
-        lam = 2
-        g = field.mul(lam, field.inv(lam - 1))
+        lam, g = _scaling_pair(field)
         one_minus_lam = field.sub(1, lam)
         vec_scale(a, lam)
-        _conv_nonzero_f(c, a, b, 1, negate, strategy)
+        _convolve(c, a, b, 1, negate, strategy)
         vec_scale(a, field.mul(one_minus_lam, field.inv(lam)))
-        _conv_nonzero_f(c, a, b, g, negate, strategy)
+        _convolve(c, a, b, g, negate, strategy)
         vec_scale(a, field.inv(one_minus_lam))
         return
     t = n // 3
@@ -380,15 +361,19 @@ def conv_acc(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, f: int,
     a and b are temporarily mutated but restored exactly; c gains the
     wrapped product (or loses it, when negate is set).
     """
-    n = _check_triple(c, a, b)
-    field = c.field
-    if not 0 <= f < field.p:
-        raise BadParameter(f"f must be a canonical residue mod {field.p}: {f}")
-    if f == 0:
+    _check_triple(c, a, b)
+    _check_f(c.field, f)
+    _convolve(c, a, b, f, negate, strategy)
+
+
+def _convolve(c, a, b, f, negate, strategy):
+    """c += a*b mod (X^n - f) through the variant `_route` picks."""
+    route = _route(len(c), f)
+    if route == "short":
         short_acc(c, a, b, negate, strategy)
-    elif n % 2 == 1:
+    elif route == "odd":
         conv_odd_f(c, a, b, f, negate, strategy)
-    elif f == 1:
+    elif route == "even_one":
         conv_even_1(c, a, b, negate, strategy)
     else:
         conv_even_f(c, a, b, f, negate, strategy)

@@ -115,19 +115,13 @@ def remainder_blockwise(r: CoeffRegion, a: CoeffRegion, b: CoeffRegion,
         vec_copy(r, a.sub_padded(0, m))
         return
     ctx = euclid_context(a, b, exact=False)
-    field = r.field
-    p = field.p
     vec_copy(r, ctx.blocks[ctx.mu])
     for i in range(ctx.mu - 1, -1, -1):
         vec_copy(scratch, r)
         _quad_tri_toeplitz_solve(ctx.t_row, scratch, True)
         _quad_tri_toeplitz_mul(ctx.g_low.reversed(), scratch, False)
-        block = ctx.blocks[i]
-        for k in range(m):
-            r[k] = (block[k] - scratch[k]) % p
-        scope = field.scope
-        if scope is not None:
-            scope.count(adds=m)
+        vec_copy(r, ctx.blocks[i])
+        vec_iadd(r, scratch, negate=True)
 
 
 @tracked

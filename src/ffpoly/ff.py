@@ -52,28 +52,37 @@ def is_prime(n: int) -> bool:
 class Field:
     """The prime field F_p for a word-sized prime p, 2 <= p < 2**61.
 
+    There is one instance per p: `Field(p)` validates p the first time and
+    returns the same object afterwards, so a measurement scope attached
+    to it sees every region built on F_p, and calling `Field(p)` again
+    leaves an attached scope in place.
+
     `scope` is None in normal operation; `instrument.measure` attaches a
     Scope so that scalar operations and bulk kernels are counted.
     """
 
     __slots__ = ("p", "scope")
 
-    def __init__(self, p: int):
+    _instances: dict = {}
+
+    def __new__(cls, p: int):
         if not isinstance(p, int) or not 2 <= p < MAX_MODULUS:
             raise FieldError(f"modulus must be an integer in [2, 2^61): {p!r}")
-        if not is_prime(p):
-            raise FieldError(f"modulus is not prime: {p}")
-        self.p = p
-        self.scope = None
+        field = cls._instances.get(p)
+        if field is None:
+            if not is_prime(p):
+                raise FieldError(f"modulus is not prime: {p}")
+            field = super().__new__(cls)
+            field.p = p
+            field.scope = None
+            cls._instances[p] = field
+        return field
+
+    def __reduce__(self):
+        return Field, (self.p,)
 
     def __repr__(self):
         return f"Field({self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, Field) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Field", self.p))
 
     @property
     def has_element_outside_01(self) -> bool:

@@ -4,16 +4,19 @@ The multiplication building block is pluggable: anything honouring the
 `MulStrategy` contract (accumulate c += a*b restoring a and b exactly,
 O(1) auxiliary space beyond an O(log n) call stack) can drive the rest of
 the library.  The default is the schoolbook kernel, which is trivially
-in-place for both the full and the truncated accumulation.
+in-place for both the full and the truncated accumulation: one strided
+multiply-accumulate (`region._mac`) per output coefficient.
 
 Also here: over-place dense triangular matrix-vector multiply/solve and
-the quadratic polynomial remainder, used as reference base cases.
+the quadratic polynomial remainder, used as reference base cases.  Every
+kernel here is a loop of calls to the strided primitives of `region`;
+none touches coefficient storage itself.
 """
 
 from __future__ import annotations
 
 from .instrument import tracked
-from .region import CoeffRegion, SplitTarget
+from .region import CoeffRegion, SplitTarget, _axpy, _mac, split_blocks, vec_copy
 
 
 class TargetTooShort(ValueError):
@@ -56,74 +59,47 @@ class Schoolbook(MulStrategy):
         self.threshold = threshold
 
     def acc_mul_full(self, c, a, b, negate=False):
-        field = a.field
-        p = field.p
         la, lb = len(a), len(b)
         if la == 0 or lb == 0:
             return
-        da, oa, sa, _ = a.raw()
-        db, ob, sb, _ = b.raw()
-        if isinstance(c, SplitTarget):
-            d1, o1, s1, l1 = c.first.raw()
-            d2, o2, s2, _ = c.second.raw()
-            for i in range(la):
-                av = da[oa + sa * i]
-                if negate:
-                    av = -av % p
-                jcut = min(lb, max(0, l1 - i))
-                ib = ob
-                ic = o1 + s1 * i
-                for _ in range(jcut):
-                    d1[ic] = (d1[ic] + av * db[ib]) % p
-                    ic += s1
-                    ib += sb
-                ic = o2 + s2 * (i + jcut - l1)
-                for _ in range(lb - jcut):
-                    d2[ic] = (d2[ic] + av * db[ib]) % p
-                    ic += s2
-                    ib += sb
-        else:
-            dc, oc, sc, _ = c.raw()
-            for i in range(la):
-                av = da[oa + sa * i]
-                if negate:
-                    av = -av % p
-                ic = oc + sc * i
-                ib = ob
-                for _ in range(lb):
-                    dc[ic] = (dc[ic] + av * db[ib]) % p
-                    ic += sc
-                    ib += sb
-        scope = field.scope
+        _acc_columns(c, a, b, la, lb, la + lb - 1, -1 if negate else 1)
+        scope = a.field.scope
         if scope is not None:
             scope.count(adds=la * lb, muls=la * lb)
 
     def acc_mul_short(self, c, a, b, n, negate=False):
-        field = a.field
-        p = field.p
-        la = min(len(a), n)
+        la = len(a)
+        if la > n:
+            la = n
         lb = len(b)
-        if la == 0 or lb == 0 or n == 0:
+        if la <= 0 or lb == 0:
             return
-        da, oa, sa, _ = a.raw()
-        db, ob, sb, _ = b.raw()
-        dc, oc, sc, _ = c.raw()
-        pairs = 0
-        for i in range(la):
-            av = da[oa + sa * i]
-            if negate:
-                av = -av % p
-            jmax = min(lb, n - i)
-            pairs += jmax
-            ic = oc + sc * i
-            ib = ob
-            for _ in range(jmax):
-                dc[ic] = (dc[ic] + av * db[ib]) % p
-                ic += sc
-                ib += sb
-        scope = field.scope
+        kmax = la + lb - 1
+        _acc_columns(c, a, b, la, lb, kmax if kmax < n else n, -1 if negate else 1)
+        scope = a.field.scope
         if scope is not None:
+            # sum over i < la of min(lb, n - i): q rows of lb pairs, then a ramp
+            q = max(0, min(la, n - lb + 1))
+            pairs = q * lb + (la - q) * n - (la * (la - 1) - q * (q - 1)) // 2
             scope.count(adds=pairs, muls=pairs)
+
+
+def _acc_columns(c, a, b, la, lb, kmax, t):
+    """c[k] += t * sum_{i+j=k} a[i]*b[j] for k < kmax, one `_mac` per column.
+
+    b is read through its reversed view, so each column is a dot product
+    of two windows; a SplitTarget c is swept one half after the other.
+    """
+    br = b.reversed() if lb > 1 else b
+    if isinstance(c, SplitTarget):
+        l1 = len(c.first)
+        parts = ((c.first, 0, min(kmax, l1)), (c.second, l1, kmax))
+    else:
+        parts = ((c, 0, kmax),)
+    for dst, lo, hi in parts:
+        for k in range(lo, hi):
+            i = k - lb + 1 if k >= lb else 0
+            _mac(dst, k - lo, 1, t, a, i, br, i + lb - 1 - k, (k + 1 if k < la else la) - i)
 
 
 _DEFAULT = Schoolbook()
@@ -165,19 +141,13 @@ def acc_mul_short(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, n: int,
 # matrix (list of rows); only its upper triangle is read.
 
 def quad_tri_mul_overplace(u, v: CoeffRegion) -> None:
-    """v <- U*v for upper-triangular U, ascending column sweep, O(1) space."""
+    """v <- U*v for upper-triangular U, ascending row sweep, O(1) space."""
     field = v.field
     p = field.p
-    dv, ov, sv, m = v.raw()
+    m = len(v)
     for i in range(m):
-        vi = dv[ov + sv * i]
-        idx = ov
-        row = 0
-        while row < i:
-            dv[idx] = (dv[idx] + u[row][i] * vi) % p
-            idx += sv
-            row += 1
-        dv[ov + sv * i] = u[i][i] * vi % p
+        row = u[i]
+        v[i] = (row[i] * v[i] + sum(row[j] * v[j] for j in range(i + 1, m))) % p
     scope = field.scope
     if scope is not None:
         scope.count(adds=m * (m - 1) // 2, muls=m * (m + 1) // 2)
@@ -187,16 +157,14 @@ def quad_tri_solve_overplace(u, v: CoeffRegion) -> None:
     """v <- U^{-1}*v for upper-triangular U, descending back-substitution."""
     field = v.field
     p = field.p
-    for i in range(len(v)):
+    m = len(v)
+    for i in range(m):
         if u[i][i] % p == 0:
             raise SingularDiagonal(f"zero diagonal at row {i}")
-    dv, ov, sv, m = v.raw()
-    inv = field.inv
     for i in range(m - 1, -1, -1):
-        acc = dv[ov + sv * i]
-        for j in range(m - 1, i, -1):
-            acc = (acc - u[i][j] * dv[ov + sv * j]) % p
-        dv[ov + sv * i] = acc * inv(u[i][i]) % p
+        row = u[i]
+        acc = v[i] - sum(row[j] * v[j] for j in range(i + 1, m))
+        v[i] = acc * field.inv(row[i]) % p
     scope = field.scope
     if scope is not None:
         scope.count(adds=m * (m - 1) // 2, muls=m * (m - 1) // 2 + m)
@@ -209,8 +177,13 @@ def quad_tri_solve_overplace(u, v: CoeffRegion) -> None:
 def quad_rem(r: CoeffRegion, a: CoeffRegion, b: CoeffRegion) -> None:
     """r <- a mod b by long division; a and b are never written.
 
-    r has length M = len(b)-1 and doubles as the working window; one
-    scalar register holds the current quotient digit.
+    r has length M = len(b)-1 and doubles as the working window.  The
+    division runs M quotient digits at a time, from a's top block (padded
+    with virtual zeros) down: back substitution turns the window into the
+    block's digits, and subtracting their multiple of b from the next
+    block of a leaves the next window.  Only the s <= M real coefficients
+    of the top block yield digits; the first sweep skips the zero digits
+    above them, so exactly N-M+1 digits are computed.
     """
     mm = len(b) - 1
     if mm < 0 or b[mm] == 0:
@@ -218,38 +191,30 @@ def quad_rem(r: CoeffRegion, a: CoeffRegion, b: CoeffRegion) -> None:
     if len(r) != mm:
         raise TargetTooShort(f"remainder window must have length {mm}")
     field = r.field
-    p = field.p
     nn = len(a) - 1
     if nn < mm:
-        for k in range(mm):
-            r[k] = a[k] if k <= nn else 0
+        vec_copy(r, a.sub_padded(0, mm))
         return
     if mm == 0:
         return
     inv_bm = field.inv(b[mm])
-    n = nn - mm
-    for k in range(mm):
-        r[k] = a[n + 1 + k]
-    dr, orr, sr, _ = r.raw()
-    da, oa, sa, _ = a.raw()
-    db, ob, sb, _ = b.raw()
-    top = orr + sr * (mm - 1)
-    for i in range(n, -1, -1):
-        q = dr[top] * inv_bm % p
-        # window <- a_i + X*window mod X^M, then subtract q * (b mod X^M)
-        idx = top
-        for _ in range(mm - 1):
-            dr[idx] = dr[idx - sr]
-            idx -= sr
-        dr[orr] = da[oa + sa * i]
-        idx = orr
-        ib = ob
-        for _ in range(mm):
-            dr[idx] = (dr[idx] - q * db[ib]) % p
-            idx += sr
-            ib += sb
+    b0 = b[0]
+    br = b.reversed()       # br[x] = b[M - x]
+    blocks = split_blocks(a, mm, pad_virtual=True)
+    vec_copy(r, blocks[-1])
+    s = blocks[-1].length                   # digits q_j, j >= s, of the first block are 0
+    for block in reversed(blocks[:-1]):
+        for k in range(s - 1, -1, -1):      # q_k = (r[k] - sum_{k<j<s} q_j b[M+k-j]) / b[M]
+            _mac(r, k, inv_bm, -inv_bm, r, k + 1, br, 1, s - 1 - k)
+        for k in range(mm - 1, s - 1, -1):  # r[k] <- -sum_{j<s} q_j b[k-j]; r[k] was 0
+            _mac(r, k, 0, -1, r, 0, br, mm - k, s)
+        for k in range(s - 1, -1, -1):      # r[k] <- -sum_{j<=k} q_j b[k-j]
+            _mac(r, k, -b0, -1, r, 0, br, mm - k, k)
+        _axpy(r, 0, 1, block, 0, mm)
+        s = mm
     scope = field.scope
     if scope is not None:
+        n = nn - mm
         scope.count(adds=(n + 1) * mm, muls=(n + 1) * (mm + 1))
 
 
@@ -258,31 +223,24 @@ def quad_rem_overplace(a: CoeffRegion, b: CoeffRegion) -> None:
     """Over-place long division: a's buffer becomes [remainder, quotient].
 
     The quotient digit is parked in the cell whose leading coefficient it
-    just consumed, so the low M cells end up holding a mod b and the high
-    N-M+1 cells hold a div b, low degree first.
+    consumes, so the low M cells end up holding a mod b and the high
+    N-M+1 cells hold a div b, low degree first.  Each cell is settled by
+    one dot product against the digits above it, top cell first.
     """
     mm = len(b) - 1
     if mm < 0 or b[mm] == 0:
         raise NonMonicLeadingZero("divisor needs a nonzero leading coefficient")
     field = a.field
-    p = field.p
     nn = len(a) - 1
     if nn < mm:
         return
     inv_bm = field.inv(b[mm])
-    da, oa, sa, _ = a.raw()
-    db, ob, sb, _ = b.raw()
+    br = b.reversed()       # br[x] = b[M - x]
     n = nn - mm
-    for i in range(n, -1, -1):
-        itop = oa + sa * (i + mm)
-        q = da[itop] * inv_bm % p
-        da[itop] = q
-        idx = oa + sa * i
-        ib = ob
-        for _ in range(mm):
-            da[idx] = (da[idx] - q * db[ib]) % p
-            idx += sa
-            ib += sb
+    for x in range(nn, mm - 1, -1):         # q_{x-M} = (a[x] - sum_{j>x} a[j] b[M+x-j]) / b[M]
+        _mac(a, x, inv_bm, -inv_bm, a, x + 1, br, 1, min(mm, nn - x))
+    for x in range(mm - 1, -1, -1):         # remainder: a[x] -= sum_j q_j b[x-j]
+        _mac(a, x, 1, -1, a, mm, br, mm - x, min(x, n) + 1)
     scope = field.scope
     if scope is not None:
         scope.count(adds=(n + 1) * mm, muls=(n + 1) * (mm + 1))

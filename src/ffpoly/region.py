@@ -8,6 +8,12 @@ disjoint regions into one logical accumulation destination.
 
 None of the view operations copies coefficients; the only copying
 utilities are `snapshot` (test harness) and `vec_copy`.
+
+This is the only module that knows how coefficients are stored.  Every
+arithmetic loop over storage is one of three strided kernels below --
+`_mac` (multiply-accumulate one output by a dot product of two windows),
+`_axpy` and `_scale` -- and the quadratic kernels of the other modules are
+short loops of calls to them.  None of them allocates.
 """
 
 from __future__ import annotations
@@ -103,13 +109,7 @@ class CoeffRegion:
             raise IndexError(k)
         if k >= self.length:
             raise VirtualWrite(f"write at virtual index {k} (real length {self.length})")
-        self.buf.data[self.start + k * self.step] = v
-
-    def raw(self):
-        """(data, start, step, length) for kernel loops; no virtual padding."""
-        if self.virtual:
-            raise VirtualWrite("kernel access to a virtually padded region")
-        return self.buf.data, self.start, self.step, self.length
+        self.buf.data[self.start + k * self.step] = self.buf.field.check(v)
 
     def sub(self, lo: int, hi: int) -> "CoeffRegion":
         """Logical sub-window [lo, hi); must lie inside the region."""
@@ -221,8 +221,10 @@ def split_blocks(r: CoeffRegion, block: int, pad_virtual: bool = False) -> list[
 
 def reverse_in_place(r: CoeffRegion) -> None:
     """Physically reverse the region's storage; involutive."""
-    data, off, step, n = r.raw()
-    i, j = off, off + (n - 1) * step
+    if r.virtual:
+        raise VirtualWrite("cannot reverse a virtually padded region")
+    data, step, n = r.buf.data, r.step, r.length
+    i, j = r.start, r.start + (n - 1) * step
     for _ in range(n // 2):
         data[i], data[j] = data[j], data[i]
         i += step
@@ -259,31 +261,78 @@ def snapshot(*regions) -> Snapshot:
 
 
 # ---------------------------------------------------------------------------
-# Element-wise vector kernels.  All operate on equal-length regions, report
-# exact operation counts in bulk, and allocate nothing.
+# Strided kernels: the only loops over coefficient storage.  Each primitive
+# works on logical windows of regions, reduces once per output coefficient,
+# counts nothing and allocates nothing; the callers report their
+# structural operation counts in bulk.  A window that touches virtual
+# padding, or reaches past the real coefficients, raises `VirtualWrite`.
 
-def _pair_raw(dst: CoeffRegion, src: CoeffRegion):
+def _mac(dst: CoeffRegion, k: int, s: int, t: int,
+         a: CoeffRegion, i: int, b: CoeffRegion, j: int, n: int) -> None:
+    """dst[k] <- s*dst[k] + t*sum_{u<n} a[i+u]*b[j+u].
+
+    The sum is read before dst[k] is written, so dst may lie inside a or b.
+    """
+    if (dst.virtual or a.virtual or b.virtual or k < 0 or i < 0 or j < 0
+            or k >= dst.length or i + n > a.length or j + n > b.length):
+        raise VirtualWrite("kernel access outside the real coefficients of a region")
+    da = a.buf.data
+    sa = a.step
+    ia = a.start + i * sa
+    db = b.buf.data
+    sb = b.step
+    ib = b.start + j * sb
+    acc = 0
+    for _ in range(n):
+        acc += da[ia] * db[ib]
+        ia += sa
+        ib += sb
+    dd = dst.buf.data
+    kk = dst.start + k * dst.step
+    dd[kk] = (s * dd[kk] + t * acc) % dst.buf.field.p
+
+
+def _axpy(dst: CoeffRegion, i: int, s: int, src: CoeffRegion, j: int, n: int) -> None:
+    """dst[i+u] += s*src[j+u] for u < n; the windows must not overlap unless equal."""
+    if (dst.virtual or src.virtual or i < 0 or j < 0
+            or i + n > dst.length or j + n > src.length):
+        raise VirtualWrite("kernel access outside the real coefficients of a region")
+    dd = dst.buf.data
+    ds = dst.step
+    di = dst.start + i * ds
+    sd = src.buf.data
+    ss = src.step
+    si = src.start + j * ss
+    p = dst.buf.field.p
+    for _ in range(n):
+        dd[di] = (dd[di] + s * sd[si]) % p
+        di += ds
+        si += ss
+
+
+def _scale(dst: CoeffRegion, s: int) -> None:
+    """dst *= s, element-wise."""
+    if dst.virtual:
+        raise VirtualWrite("kernel access to a virtually padded region")
+    dd, ds, di = dst.buf.data, dst.step, dst.start
+    p = dst.buf.field.p
+    for _ in range(dst.length):
+        dd[di] = dd[di] * s % p
+        di += ds
+
+
+# Element-wise vector kernels on equal-length regions, with exact bulk counts.
+
+def _check_pair(dst: CoeffRegion, src: CoeffRegion) -> int:
     if len(dst) != len(src):
         raise ValueError(f"length mismatch: {len(dst)} vs {len(src)}")
-    dd, do, ds, n = dst.raw()
-    sd, so, ss, _ = src.raw()
-    return dd, do, ds, sd, so, ss, n
+    return len(dst)
 
 
 def vec_iadd(dst: CoeffRegion, src: CoeffRegion, negate: bool = False) -> None:
     """dst += src (or dst -= src when negate)."""
-    dd, do, ds, sd, so, ss, n = _pair_raw(dst, src)
-    p = dst.buf.field.p
-    if negate:
-        for _ in range(n):
-            dd[do] = (dd[do] - sd[so]) % p
-            do += ds
-            so += ss
-    else:
-        for _ in range(n):
-            dd[do] = (dd[do] + sd[so]) % p
-            do += ds
-            so += ss
+    n = _check_pair(dst, src)
+    _axpy(dst, 0, -1 if negate else 1, src, 0, n)
     scope = dst.buf.field.scope
     if scope is not None:
         scope.count(adds=n)
@@ -291,13 +340,8 @@ def vec_iadd(dst: CoeffRegion, src: CoeffRegion, negate: bool = False) -> None:
 
 def vec_addmul(dst: CoeffRegion, scalar: int, src: CoeffRegion, negate: bool = False) -> None:
     """dst += scalar*src (or dst -= scalar*src when negate)."""
-    dd, do, ds, sd, so, ss, n = _pair_raw(dst, src)
-    p = dst.buf.field.p
-    s = -scalar % p if negate else scalar
-    for _ in range(n):
-        dd[do] = (dd[do] + s * sd[so]) % p
-        do += ds
-        so += ss
+    n = _check_pair(dst, src)
+    _axpy(dst, 0, -scalar if negate else scalar, src, 0, n)
     scope = dst.buf.field.scope
     if scope is not None:
         scope.count(adds=n, muls=n)
@@ -305,37 +349,30 @@ def vec_addmul(dst: CoeffRegion, scalar: int, src: CoeffRegion, negate: bool = F
 
 def vec_scale(dst: CoeffRegion, scalar: int) -> None:
     """dst *= scalar, element-wise."""
-    dd, do, ds, n = dst.raw()
-    p = dst.buf.field.p
-    for _ in range(n):
-        dd[do] = dd[do] * scalar % p
-        do += ds
+    _scale(dst, scalar)
     scope = dst.buf.field.scope
     if scope is not None:
-        scope.count(muls=n)
+        scope.count(muls=len(dst))
 
 
 def vec_negate(dst: CoeffRegion) -> None:
-    dd, do, ds, n = dst.raw()
-    p = dst.buf.field.p
-    for _ in range(n):
-        dd[do] = -dd[do] % p
-        do += ds
+    _scale(dst, -1)
     scope = dst.buf.field.scope
     if scope is not None:
-        scope.count(adds=n)
+        scope.count(adds=len(dst))
 
 
 def vec_copy(dst: CoeffRegion, src: CoeffRegion) -> None:
     """dst[k] = src[k]; src may carry virtual zeros.  Not a field operation."""
-    if len(dst) != len(src):
-        raise ValueError(f"length mismatch: {len(dst)} vs {len(src)}")
-    if src.virtual:
-        for k in range(len(dst)):
-            dst[k] = src[k]
-        return
-    dd, do, ds, sd, so, ss, n = _pair_raw(dst, src)
-    for _ in range(n):
-        dd[do] = sd[so]
-        do += ds
-        so += ss
+    _check_pair(dst, src)
+    if dst.virtual:
+        raise VirtualWrite("kernel access to a virtually padded region")
+    dd, ds, di = dst.buf.data, dst.step, dst.start
+    sd, ss, si = src.buf.data, src.step, src.start
+    for _ in range(src.length):
+        dd[di] = sd[si]
+        di += ds
+        si += ss
+    for _ in range(src.virtual):
+        dd[di] = 0
+        di += ds

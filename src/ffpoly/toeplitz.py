@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .conv import LengthMismatch, conv_acc, short_acc_ragged
 from .instrument import tracked
 from .mulbase import MulStrategy, SingularDiagonal, _resolve
-from .region import CoeffRegion, reverse_in_place
+from .region import CoeffRegion, _mac, reverse_in_place
 
 
 @dataclass(frozen=True)
@@ -143,28 +143,24 @@ def rect_toeplitz_acc(c: CoeffRegion, view: ToeplitzView, b: CoeffRegion,
 # orientation "upper": the matrix is Toeplitz([0, a]) with first row
 # a[0], ..., a[m-1] (diagonal a[0]).
 
+def _tri_sweep(a, b, upper: bool, s: int, t: int, ascending: bool) -> None:
+    """b[i] <- s*b[i] + t * (off-diagonal part of row i of T) . b, row by row.
+
+    Each row reads only entries of b that the sweep has not written yet:
+    the upper matrix reaches b[i+1:], the lower one b[:i].
+    """
+    m = len(b)
+    for i in (range(m) if ascending else range(m - 1, -1, -1)):
+        if upper:
+            _mac(b, i, s, t, a, 1, b, i + 1, m - 1 - i)
+        else:
+            _mac(b, i, s, t, a, m - 1 - i, b, 0, i)
+
+
 def _quad_tri_toeplitz_mul(a, b, upper: bool):
     field = b.field
-    p = field.p
-    da, oa, sa, m = a.raw()
-    db, ob, sb, _ = b.raw()
-    if upper:
-        diag = da[oa]
-        for i in range(m):
-            bi = db[ob + sb * i]
-            idx = ob
-            for j in range(i):
-                db[idx] = (db[idx] + da[oa + sa * (i - j)] * bi) % p
-                idx += sb
-            db[ob + sb * i] = diag * bi % p
-    else:
-        diag = da[oa + sa * (m - 1)]
-        for i in range(m - 1, -1, -1):
-            bi = db[ob + sb * i]
-            for j in range(i + 1, m):
-                idx = ob + sb * j
-                db[idx] = (db[idx] + da[oa + sa * (m - 1 - j + i)] * bi) % p
-            db[ob + sb * i] = diag * bi % p
+    m = len(b)
+    _tri_sweep(a, b, upper, a[0 if upper else m - 1], 1, upper)
     scope = field.scope
     if scope is not None:
         scope.count(adds=m * (m - 1) // 2, muls=m * (m + 1) // 2)
@@ -172,23 +168,9 @@ def _quad_tri_toeplitz_mul(a, b, upper: bool):
 
 def _quad_tri_toeplitz_solve(a, b, upper: bool):
     field = b.field
-    p = field.p
-    da, oa, sa, m = a.raw()
-    db, ob, sb, _ = b.raw()
-    if upper:
-        inv_diag = field.inv(da[oa])
-        for i in range(m - 1, -1, -1):
-            acc = db[ob + sb * i]
-            for j in range(i + 1, m):
-                acc -= da[oa + sa * (j - i)] * db[ob + sb * j]
-            db[ob + sb * i] = acc % p * inv_diag % p
-    else:
-        inv_diag = field.inv(da[oa + sa * (m - 1)])
-        for i in range(m):
-            acc = db[ob + sb * i]
-            for j in range(i):
-                acc -= da[oa + sa * (m - 1 - i + j)] * db[ob + sb * j]
-            db[ob + sb * i] = acc % p * inv_diag % p
+    m = len(b)
+    inv_diag = field.inv(a[0 if upper else m - 1])
+    _tri_sweep(a, b, upper, inv_diag, -inv_diag, not upper)
     scope = field.scope
     if scope is not None:
         scope.count(adds=m * (m - 1) // 2, muls=m * (m - 1) // 2 + m)

@@ -114,13 +114,23 @@ def test_short_examples():
         assert got == want
 
 
-def test_dispatcher_routing():
+def test_dispatcher_routing(monkeypatch):
+    # conv_acc and short_acc reach the variants through `conv._convolve`;
+    # record which one it runs.
+    from ffpoly import conv
+    seen = []
+    for route, name in (("short", "short_acc"), ("odd", "conv_odd_f"),
+                        ("even_one", "conv_even_1"), ("even_general", "conv_even_f")):
+        monkeypatch.setattr(conv, name, lambda *args, route=route, **kw: seen.append(route))
     f5 = field(5)
-    assert plan_convolution(f5, 8, 0).route == "short"
-    assert plan_convolution(f5, 7, 2).route == "odd"
-    assert plan_convolution(f5, 7, 1).route == "odd"
-    assert plan_convolution(f5, 8, 1).route == "even_one"
-    assert plan_convolution(f5, 8, 3).route == "even_general"
+    for n, f, route in ((8, 0, "short"), (7, 2, "odd"), (7, 1, "odd"),
+                        (8, 1, "even_one"), (8, 3, "even_general")):
+        assert plan_convolution(f5, n, f).route == route
+        conv_acc(region_of(5, [0] * n), region_of(5, [1] * n), region_of(5, [2] * n), f)
+        assert seen.pop() == route
+    # the truncated product is two wrapped ones, mod X^n - 1 and mod X^n - g
+    short_acc(region_of(5, [0] * 32), region_of(5, [1] * 32), region_of(5, [2] * 32))
+    assert seen == ["even_one", "even_general"]
     plan = plan_convolution(f5, 4, 0)
     assert plan.lam == 2 and plan.g == 2
     assert plan_convolution(field(2), 4, 0).lam is None
@@ -128,6 +138,8 @@ def test_dispatcher_routing():
         plan_convolution(f5, 0, 0)
     with pytest.raises(BadParameter):
         plan_convolution(f5, 4, 5)
+    with pytest.raises(BadParameter):
+        conv_acc(region_of(5, [0] * 4), region_of(5, [1] * 4), region_of(5, [2] * 4), 5)
 
 
 def test_truncation_scaling_pair_always_usable():

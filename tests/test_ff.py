@@ -1,9 +1,11 @@
+import copy
+import pickle
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ffpoly import Field, FieldError, InversionOfZero, is_prime
+from ffpoly import Field, FieldError, InversionOfZero, conv_acc, is_prime, measure, poly_region
 
 from conftest import FIELD_PRIMES, field
 
@@ -82,3 +84,28 @@ def test_check_rejects_non_canonical():
         f.check(7)
     with pytest.raises(FieldError):
         f.check(-1)
+
+
+def test_one_field_per_modulus():
+    assert Field(65521) is Field(65521) is field(65521)
+    assert Field((1 << 61) - 1) is Field((1 << 61) - 1)
+    assert "__eq__" not in vars(Field) and "__hash__" not in vars(Field)
+    assert copy.deepcopy(field(5)) is pickle.loads(pickle.dumps(field(5))) is field(5)
+
+
+def test_measure_sees_regions_built_on_another_field_call():
+    # Regions built on one Field(65521) call, measured through another.
+    a = poly_region(Field(65521), list(range(1, 9)))
+    b = poly_region(Field(65521), list(range(2, 10)))
+    c = poly_region(Field(65521), [0] * 8)
+    with measure(Field(65521), max_aux=0) as scope:
+        conv_acc(c, a, b, 0)
+    assert scope.adds > 0 and scope.muls > 0
+
+
+def test_field_call_keeps_an_open_scope():
+    f = Field(7)
+    with measure(f) as scope:
+        assert Field(7) is f and f.scope is scope
+        f.mul(2, 3)
+    assert scope.muls == 1 and f.scope is None

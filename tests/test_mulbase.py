@@ -206,6 +206,33 @@ def test_quad_rem_matches_oracle():
                 assert recon == a
 
 
+@pytest.mark.parametrize("mm,nn", [(4, 4), (4, 6), (5, 17), (8, 9), (3, 11)])
+def test_quad_rem_computes_only_real_digits(monkeypatch, mm, nn):
+    # N+1 not a multiple of M (except (3, 11)): the top block is short, and
+    # only its real digits may be computed.  Each of the N-M+1 quotient
+    # digits costs M-1 products inside the dot products, plus the two
+    # scalings the structural count of M+1 muls per digit includes.
+    import ffpoly.mulbase as mulbase
+    dot_terms = []
+    real_mac = mulbase._mac
+
+    def counting_mac(*args):
+        dot_terms.append(args[-1])
+        real_mac(*args)
+
+    monkeypatch.setattr(mulbase, "_mac", counting_mac)
+    rng = random.Random(mm * 100 + nn)
+    p = 65521
+    a, b = rand_coeffs(rng, p, nn + 1), rand_monic_tail(rng, p, mm)
+    r = Buffer.zeros(field(p), mm).region()
+    with measure(field(p)) as m:
+        quad_rem(r, region_of(p, a), region_of(p, b))
+    assert r.to_list() == ref_rem(a, b, p)
+    digits = nn - mm + 1
+    assert m.muls == digits * (mm + 1) and m.adds == digits * mm
+    assert sum(dot_terms) == digits * (mm - 1)
+
+
 def test_quad_rem_overplace_layout():
     rng = random.Random(13)
     for p in (5, 7, 65521):

@@ -1,8 +1,14 @@
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import ffpoly
 from ffpoly import (
     Buffer,
+    Field,
+    FieldError,
     RestorationViolation,
     SplitTarget,
     VirtualWrite,
@@ -12,7 +18,7 @@ from ffpoly import (
     snapshot,
     split_blocks,
 )
-from ffpoly.region import vec_addmul, vec_copy, vec_iadd, vec_negate, vec_scale
+from ffpoly.region import _axpy, _mac, _scale, vec_addmul, vec_copy, vec_iadd, vec_negate, vec_scale
 
 from conftest import field
 
@@ -181,6 +187,18 @@ def test_vec_copy_reads_virtual_zeros():
     assert dst.to_list() == [4, 5, 0, 0]
 
 
+def test_vec_copy_onto_itself_is_a_copy():
+    f = field(13)
+    r = poly_region(f, [4, 5, 6])
+    vec_copy(r, r)
+    assert r.to_list() == [4, 5, 6]
+    rev = r.reversed()
+    vec_copy(rev, rev)
+    assert r.to_list() == [4, 5, 6]
+    with pytest.raises(VirtualWrite):
+        vec_copy(r.sub(0, 2).sub_padded(0, 3), r)
+
+
 def test_out_of_range_indexing():
     r = poly_region(field(7), [1, 2])
     with pytest.raises(IndexError):
@@ -189,3 +207,105 @@ def test_out_of_range_indexing():
         r[-1]
     with pytest.raises(IndexError):
         r.sub(1, 3)
+
+
+def test_setitem_rejects_what_buffer_rejects():
+    f = field(65521)
+    r = poly_region(f, [1, 2])
+    tgt = SplitTarget(r.sub(0, 1), r.sub(1, 2))
+    for bad in (10**6, 65521, -1, 1.0, "3", None):
+        with pytest.raises(FieldError):
+            Buffer(f, [bad])
+        with pytest.raises(FieldError):
+            r[0] = bad
+        with pytest.raises(FieldError):
+            tgt[1] = bad
+    assert r.to_list() == [1, 2]
+    r.reversed()[0] = 65520
+    assert r.to_list() == [1, 65520]
+
+
+@pytest.mark.parametrize("p", [2, 65521, (1 << 61) - 1])
+def test_strided_kernels_match_list_formulas(p):
+    # Forward, reversed and offset windows of one shared buffer; `model`
+    # mirrors the buffer and `at` maps a window index to a model index.
+    rng = random.Random(p)
+    values = [rng.randrange(p) for _ in range(40)]
+    buf = Buffer(Field(p), values)
+    model = list(values)
+    whole = (buf.region(), lambda k: k)
+    offset = (buf.region(5, 30), lambda k: 5 + k)
+    rev = (buf.region(3, 37).reversed(), lambda k: 36 - k)
+    rev_offset = (buf.region().reversed().sub(10, 35), lambda k: 29 - k)
+    windows = (whole, offset, rev, rev_offset)
+
+    def check():
+        assert buf.region().to_list() == model
+
+    for _ in range(300):
+        (dst, at_d), (a, at_a), (b, at_b) = (rng.choice(windows) for _ in range(3))
+        s, t = rng.randrange(p), rng.randrange(p)
+        n = rng.randrange(min(len(a), len(b)) + 1)
+        i, j = rng.randrange(len(a) - n + 1), rng.randrange(len(b) - n + 1)
+        k = rng.randrange(len(dst))
+        dot = sum(model[at_a(i + u)] * model[at_b(j + u)] for u in range(n))
+        model[at_d(k)] = (s * model[at_d(k)] + t * dot) % p
+        _mac(dst, k, s, t, a, i, b, j, n)
+        check()
+
+    # over-place: b[k] <- s*b[k] + t * a[0:] . b[k+1:], ascending k, ending at n = 0
+    (b, at_b), (a, at_a) = rev, whole
+    for k in range(len(b)):
+        n = len(b) - 1 - k
+        dot = sum(model[at_a(u)] * model[at_b(k + 1 + u)] for u in range(n))
+        model[at_b(k)] = (2 * model[at_b(k)] - dot) % p
+        _mac(b, k, 2, -1, a, 0, b, k + 1, n)
+        check()
+
+    # axpy between disjoint windows, one forward and one reversed
+    (dst, at_d), (src, at_s) = (buf.region(0, 20), lambda k: k), \
+        (buf.region(20, 40).reversed(), lambda k: 39 - k)
+    for _ in range(100):
+        n = rng.randrange(8)
+        i, j = rng.randrange(21 - n), rng.randrange(21 - n)
+        s = rng.randrange(p)
+        for u in range(n):
+            model[at_d(i + u)] = (model[at_d(i + u)] + s * model[at_s(j + u)]) % p
+        _axpy(dst, i, s, src, j, n)
+        check()
+
+    dst, at_d = rev_offset
+    _scale(dst, p - 1)
+    for k in range(len(dst)):
+        model[at_d(k)] = model[at_d(k)] * (p - 1) % p
+    check()
+
+
+def test_strided_kernels_stay_on_real_coefficients():
+    f = field(7)
+    r = poly_region(f, [1, 2, 3, 4])
+    padded = r.sub(0, 2).sub_padded(0, 3)
+    with pytest.raises(VirtualWrite):
+        _mac(padded, 0, 1, 1, r, 0, r, 0, 1)
+    with pytest.raises(VirtualWrite):
+        _mac(r, 0, 1, 1, padded, 0, r, 0, 1)
+    with pytest.raises(VirtualWrite):
+        _mac(r, 4, 1, 1, r, 0, r, 0, 1)
+    with pytest.raises(VirtualWrite):
+        _mac(r, 0, 1, 1, r.sub(0, 2), 1, r, 0, 2)
+    with pytest.raises(VirtualWrite):
+        _mac(r, 0, 1, 1, r, -1, r, 0, 1)
+    with pytest.raises(VirtualWrite):
+        _axpy(r.sub(0, 2), 1, 1, r, 0, 2)
+    with pytest.raises(VirtualWrite):
+        _axpy(r, 0, 1, padded, 0, 1)
+    with pytest.raises(VirtualWrite):
+        _scale(padded, 2)
+    assert r.to_list() == [1, 2, 3, 4]
+
+
+def test_only_region_touches_coefficient_storage():
+    for path in Path(ffpoly.__file__).parent.glob("*.py"):
+        if path.name != "region.py":
+            text = path.read_text()
+            assert ".raw(" not in text and ".buf.data" not in text, path.name
