@@ -30,8 +30,8 @@ print("circulant_acc:    ", c.to_list(), " dense matvec:",
       ref_matvec(ref_dense_circulant([1, 3], 2, 7), [1, 1], 7))
 
 # A square Toeplitz from the vector [1, 2, 3] is [[2, 3], [1, 2]]; the
-# product splits into a triangular circulant part plus a reversed pass
-# for the strictly lower triangle.
+# product splits into a triangular circulant part plus a truncated product
+# on reversed views for the strictly lower triangle.
 c = poly_region(F7, [0, 0])
 square_toeplitz_acc(c, poly_region(F7, [1]), poly_region(F7, [2, 3]),
                     poly_region(F7, [1, 1]))

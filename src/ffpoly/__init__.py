@@ -2,6 +2,7 @@
 
 from .ff import Field, FieldError, InversionOfZero, is_prime
 from .region import (
+    AliasedOperands,
     Buffer,
     CoeffRegion,
     RestorationViolation,
@@ -9,7 +10,6 @@ from .region import (
     SplitTarget,
     VirtualWrite,
     poly_region,
-    reverse_in_place,
     snapshot,
     split_blocks,
 )
@@ -68,8 +68,8 @@ __all__ = [
     # ff
     "Field", "FieldError", "InversionOfZero", "is_prime",
     # region
-    "Buffer", "CoeffRegion", "RestorationViolation", "Snapshot", "SplitTarget",
-    "VirtualWrite", "poly_region", "reverse_in_place", "snapshot", "split_blocks",
+    "AliasedOperands", "Buffer", "CoeffRegion", "RestorationViolation", "Snapshot",
+    "SplitTarget", "VirtualWrite", "poly_region", "snapshot", "split_blocks",
     # instrument
     "AllocGuard", "GuardViolation", "OpCounter", "Scope", "measure", "measure_call",
     # mulbase

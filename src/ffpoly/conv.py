@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 from .instrument import tracked
 from .mulbase import MulStrategy, _resolve, acc_mul_full
-from .region import CoeffRegion, SplitTarget, _mac, vec_addmul, vec_iadd, vec_scale
+from .region import (
+    CoeffRegion, SplitTarget, _check_disjoint, _mac, vec_addmul, vec_iadd, vec_scale)
 
 
 class LengthMismatch(ValueError):
@@ -206,12 +207,13 @@ def conv_odd_f(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, f: int,
     vec_scale(wrap, f)
 
 
-# The five full products of the truncated-product schedule over GF(2), on
-# thirds.  Each record is (a_adds, a_block, b_adds, b_block, rows, couple):
-# apply the listed block additions to the operands, accumulate the full
-# product of the named blocks onto the row pair, undo the additions.  When
-# `couple` is set the row pair is conjugated by the self-inverse transform
-# (x, y) -> (x, x + y) on both sides of the accumulation.
+# The truncated-product schedule over GF(2), on thirds.  Each record is
+# (a_adds, a_block, b_adds, b_block, rows, couple): apply the listed block
+# additions to the operands, accumulate the full product of the named
+# blocks onto a row pair (the truncated one onto a single row), undo the
+# additions.  When `couple` is set the row pair is conjugated by the
+# self-inverse transform (x, y) -> (x, x + y) on both sides of the
+# accumulation.
 @dataclass(frozen=True)
 class BilinearStep:
     a_adds: tuple
@@ -228,6 +230,8 @@ F2_SHORT_SCHEDULE = (
     BilinearStep((), 2, (), 2, (1, 2), False),
     BilinearStep(((0, 2),), 0, ((0, 2),), 0, (1, 2), True),
     BilinearStep(((1, 2),), 1, ((1, 2),), 1, (1, 2), True),
+    BilinearStep(((1, 2),), 1, ((0, 1),), 0, (2,), False),
+    BilinearStep(((0, 2),), 0, ((1, 2),), 1, (2,), False),
 )
 
 
@@ -236,13 +240,16 @@ def _apply_bilinear_step(step: BilinearStep, cb, ab, bb, negate, strategy):
         vec_iadd(ab[d], ab[s])
     for d, s in step.b_adds:
         vec_iadd(bb[d], bb[s])
-    ci, cj = cb[step.rows[0]], cb[step.rows[1]]
-    if step.couple:
-        vec_iadd(cj, ci)
-    acc_mul_full(SplitTarget(ci, cj), ab[step.a_block], bb[step.b_block],
-                 negate=negate, strategy=strategy)
-    if step.couple:
-        vec_iadd(cj, ci)
+    if len(step.rows) == 1:
+        short_acc(cb[step.rows[0]], ab[step.a_block], bb[step.b_block], negate, strategy)
+    else:
+        ci, cj = cb[step.rows[0]], cb[step.rows[1]]
+        if step.couple:
+            vec_iadd(cj, ci)
+        acc_mul_full(SplitTarget(ci, cj), ab[step.a_block], bb[step.b_block],
+                     negate=negate, strategy=strategy)
+        if step.couple:
+            vec_iadd(cj, ci)
     for d, s in reversed(step.b_adds):
         vec_iadd(bb[d], bb[s], negate=True)
     for d, s in reversed(step.a_adds):
@@ -267,9 +274,9 @@ def short_acc(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion,
     accumulate mod (X^n - 1), rescale a to (1 - lambda) of its original,
     accumulate mod (X^n - g) with g = lambda/(lambda - 1), restore a.
 
-    Over GF(2) the operands split in thirds: five full products applied
-    through self-inverse row couplings, two recursive truncated products,
-    and up to two scalar sweeps for the coefficients the thirds miss.
+    Over GF(2) the operands split in thirds: `F2_SHORT_SCHEDULE` applies
+    five full products through self-inverse row couplings and two recursive
+    truncated products, and up to two scalar sweeps cover the rest.
     """
     strategy = _resolve(strategy)
     n = _check_triple(c, a, b)
@@ -293,19 +300,6 @@ def short_acc(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion,
         cb = (c.sub(0, t), c.sub(t, 2 * t), c.sub(2 * t, 3 * t))
         for step in F2_SHORT_SCHEDULE:
             _apply_bilinear_step(step, cb, ab, bb, negate, strategy)
-        a1, a2 = ab[1], ab[2]
-        b0, b1, b2 = bb
-        vec_iadd(a1, a2)
-        vec_iadd(b0, b1)
-        short_acc(cb[2], a1, b0, negate, strategy)
-        vec_iadd(b0, b1, negate=True)
-        vec_iadd(a1, a2, negate=True)
-        a0 = ab[0]
-        vec_iadd(a0, a2)
-        vec_iadd(b1, b2)
-        short_acc(cb[2], a0, b1, negate, strategy)
-        vec_iadd(b1, b2, negate=True)
-        vec_iadd(a0, a2, negate=True)
     if n >= 3 * t + 1:
         _scalar_tail(c, a, b, 3 * t, negate)
     if n == 3 * t + 2:
@@ -359,10 +353,12 @@ def conv_acc(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, f: int,
     """c += a*b mod (X^n - f); dispatcher over all (n, f) cases.
 
     a and b are temporarily mutated but restored exactly; c gains the
-    wrapped product (or loses it, when negate is set).
+    wrapped product (or loses it, when negate is set).  The three regions
+    must be disjoint.
     """
     _check_triple(c, a, b)
     _check_f(c.field, f)
+    _check_disjoint(c, a, b)
     _convolve(c, a, b, f, negate, strategy)
 
 

@@ -19,8 +19,8 @@ written.  `divmod_over_place` applies the same sweep over a itself,
 leaving [remainder, quotient] in a's buffer, and is exactly reversible;
 `remainder_acc` wraps it in both directions around one accumulation.
 
-Applying G is a truncated product: G . y = (b mod X^M) * y mod X^M, which
-is how all G products below are computed.
+Applying G is a truncated product, G . y = (b mod X^M) * y mod X^M, or
+over-place an upper triangular product on reversed views of y.
 """
 
 from __future__ import annotations
@@ -118,8 +118,8 @@ def remainder_blockwise(r: CoeffRegion, a: CoeffRegion, b: CoeffRegion,
     vec_copy(r, ctx.blocks[ctx.mu])
     for i in range(ctx.mu - 1, -1, -1):
         vec_copy(scratch, r)
-        _quad_tri_toeplitz_solve(ctx.t_row, scratch, True)
-        _quad_tri_toeplitz_mul(ctx.g_low.reversed(), scratch, False)
+        _quad_tri_toeplitz_solve(ctx.t_row, scratch)
+        _quad_tri_toeplitz_mul(ctx.g_low, scratch.reversed())
         vec_copy(r, ctx.blocks[i])
         vec_iadd(r, scratch, negate=True)
 
@@ -145,10 +145,10 @@ def remainder_in_place(r: CoeffRegion, a: CoeffRegion, b: CoeffRegion,
         return
     ctx = euclid_context(a, b, exact=False)
     vec_copy(r, ctx.blocks[ctx.mu])
-    g_vec = ctx.g_low.reversed()
+    r_rev = r.reversed()
     for i in range(ctx.mu - 1, -1, -1):
         tri_toeplitz_solve_overplace(ctx.t_row, r, "upper", strategy)
-        tri_toeplitz_mul_overplace(g_vec, r, "lower", strategy)
+        tri_toeplitz_mul_overplace(ctx.g_low, r_rev, "upper", strategy)
         vec_negate(r)
         vec_iadd(r, ctx.blocks[i])
 

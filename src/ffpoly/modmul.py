@@ -22,7 +22,7 @@ from .conv import LengthMismatch, short_acc_ragged
 from .euclid import NonInvertibleLeading, divmod_over_place, divmod_over_place_inv
 from .instrument import tracked
 from .mulbase import MulStrategy, _resolve, acc_mul_full
-from .region import CoeffRegion
+from .region import CoeffRegion, _check_disjoint
 from .toeplitz import banded_upper_mul_overplace, banded_upper_solve_overplace
 
 
@@ -70,8 +70,8 @@ def mulmod_acc(r: CoeffRegion, a: CoeffRegion, c: CoeffRegion, b: CoeffRegion,
     """r += a*c mod b, for deg a <= min(deg c, deg b); a, b, c restored.
 
     Needs nonzero leading coefficients on a and b (the two banded
-    operators must be invertible).  When the product fits under b the
-    accumulation is a single full multiplication.
+    operators must be invertible) and disjoint regions.  When the product
+    fits under b the accumulation is a single full multiplication.
     """
     strategy = _resolve(strategy)
     m_deg = len(b) - 1
@@ -79,6 +79,7 @@ def mulmod_acc(r: CoeffRegion, a: CoeffRegion, c: CoeffRegion, b: CoeffRegion,
         raise NonInvertibleLeading("modulus needs a nonzero leading coefficient")
     if len(r) != m_deg:
         raise LengthMismatch(f"accumulator must have length {m_deg}")
+    _check_disjoint(r, a, c, b)
     if len(a) == 0 or len(c) == 0 or m_deg == 0:
         return
     l_deg = len(a) - 1
@@ -123,6 +124,7 @@ def mulmod_acc_full(r: CoeffRegion, a: CoeffRegion, c: CoeffRegion, b: CoeffRegi
         raise NonInvertibleLeading("modulus needs a nonzero leading coefficient")
     if len(r) != m_deg:
         raise LengthMismatch(f"accumulator must have length {m_deg}")
+    _check_disjoint(r, a, c, b)
     if m_deg == 0:
         return
     at = _trim(a)

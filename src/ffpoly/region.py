@@ -18,6 +18,8 @@ short loops of calls to them.  None of them allocates.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .ff import Field, FieldError
 
 
@@ -27,6 +29,10 @@ class RestorationViolation(AssertionError):
 
 class VirtualWrite(ValueError):
     """Attempted write into the virtual zero-padding of a region."""
+
+
+class AliasedOperands(ValueError):
+    """Operands of one call share storage, which in-place updates would corrupt."""
 
 
 class Buffer:
@@ -143,9 +149,9 @@ class CoeffRegion:
     def overlaps(self, other: "CoeffRegion") -> bool:
         if self.buf is not other.buf or self.length == 0 or other.length == 0:
             return False
-        lo_a, hi_a = sorted((self.start, self.start + (self.length - 1) * self.step))
-        lo_b, hi_b = sorted((other.start, other.start + (other.length - 1) * other.step))
-        return lo_a <= hi_b and lo_b <= hi_a
+        lo_a = self.start if self.step > 0 else self.start - self.length + 1
+        lo_b = other.start if other.step > 0 else other.start - other.length + 1
+        return lo_a < lo_b + other.length and lo_b < lo_a + self.length
 
     def __repr__(self):
         return (f"CoeffRegion(start={self.start}, len={self.length}, step={self.step}"
@@ -219,16 +225,11 @@ def split_blocks(r: CoeffRegion, block: int, pad_virtual: bool = False) -> list[
     return out
 
 
-def reverse_in_place(r: CoeffRegion) -> None:
-    """Physically reverse the region's storage; involutive."""
-    if r.virtual:
-        raise VirtualWrite("cannot reverse a virtually padded region")
-    data, step, n = r.buf.data, r.step, r.length
-    i, j = r.start, r.start + (n - 1) * step
-    for _ in range(n // 2):
-        data[i], data[j] = data[j], data[i]
-        i += step
-        j -= step
+def _check_disjoint(*regions: CoeffRegion) -> None:
+    """Raise `AliasedOperands` if any two of the regions share a coefficient."""
+    for r, s in combinations(regions, 2):
+        if r.overlaps(s):
+            raise AliasedOperands(f"{r!r} and {s!r} share storage")
 
 
 class Snapshot:

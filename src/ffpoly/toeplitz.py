@@ -6,20 +6,21 @@ reduce to wrapped convolutions through a fixed index correspondence,
 
     Circ_f(a) . b  =  reverse(conv_f(a, reverse(b))),
 
-realized with O(1)-space reversed views; the square Toeplitz product adds
-one physically reversed pass over the strictly lower part.  Over-place
-triangular multiply and solve recurse on halves in both orientations, and
-banded variants chunk a long vector by the band width.
+and every mirror image is an O(1) reversed view.  The square Toeplitz
+product adds a truncated product on reversed views for its strictly lower
+part; over-place triangular multiply and solve recurse on halves of the
+upper matrix only, and banded variants chunk a long vector by the band
+width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conv import LengthMismatch, conv_acc, short_acc_ragged
+from .conv import LengthMismatch, conv_acc, short_acc, short_acc_ragged
 from .instrument import tracked
 from .mulbase import MulStrategy, SingularDiagonal, _resolve
-from .region import CoeffRegion, _mac, reverse_in_place
+from .region import CoeffRegion, _mac
 
 
 @dataclass(frozen=True)
@@ -76,28 +77,16 @@ def square_toeplitz_acc(c: CoeffRegion, a1: CoeffRegion, a2: CoeffRegion,
                         strategy: MulStrategy | None = None) -> None:
     """c += Toeplitz([a1, a2]) . b for the square matrix of size len(a2).
 
-    The part on and above the diagonal is the 0-circulant of a2; what
-    remains is a strictly lower triangle handled on physically reversed
-    copies of a1, the leading slice of b and the trailing slice of c,
-    all reversed back afterwards.
+    The part on and above the diagonal is the 0-circulant of a2; the
+    strictly lower triangle adds (reversed a1) * b mod X^(s-1) into c[1:].
     """
     s = len(c)
     if len(a2) != s or len(b) != s or len(a1) != s - 1:
         raise LengthMismatch(
             f"need lengths (s-1, s, s, s), got ({len(a1)}, {len(a2)}, {len(b)}, {s})")
-    if s == 0:
-        return
     circulant_acc(c, CirculantView(a2, 0), b, negate, strategy)
     if s >= 2:
-        b1 = b.sub(0, s - 1)
-        c2 = c.sub(1, s)
-        reverse_in_place(a1)
-        reverse_in_place(b1)
-        reverse_in_place(c2)
-        circulant_acc(c2, CirculantView(a1, 0), b1, negate, strategy)
-        reverse_in_place(c2)
-        reverse_in_place(b1)
-        reverse_in_place(a1)
+        short_acc(c.sub(1, s), a1.reversed(), b.sub(0, s - 1), negate, strategy)
 
 
 def _square_acc_vec(c, vec, b, negate, strategy):
@@ -138,49 +127,49 @@ def rect_toeplitz_acc(c: CoeffRegion, view: ToeplitzView, b: CoeffRegion,
 # ---------------------------------------------------------------------------
 # Over-place triangular Toeplitz multiply / solve.
 #
-# orientation "lower": the matrix is Toeplitz([a, 0]) with first column
-# a[m-1], ..., a[0] top to bottom (diagonal a[m-1]).
 # orientation "upper": the matrix is Toeplitz([0, a]) with first row
 # a[0], ..., a[m-1] (diagonal a[0]).
+# orientation "lower": the matrix is Toeplitz([a, 0]) with first column
+# a[m-1], ..., a[0] top to bottom (diagonal a[m-1]), which is
+# J . upper(reverse(a)) . J for the exchange matrix J.
 
-def _tri_sweep(a, b, upper: bool, s: int, t: int, ascending: bool) -> None:
-    """b[i] <- s*b[i] + t * (off-diagonal part of row i of T) . b, row by row.
+def _tri_sweep(a, b, s: int, t: int, ascending: bool) -> None:
+    """b[i] <- s*b[i] + t * (off-diagonal part of row i of upper(a)) . b.
 
-    Each row reads only entries of b that the sweep has not written yet:
-    the upper matrix reaches b[i+1:], the lower one b[:i].
+    Row i reads only b[i+1:]: the original entries in an ascending sweep
+    (multiply), the already solved ones in a descending sweep (solve).
     """
     m = len(b)
     for i in (range(m) if ascending else range(m - 1, -1, -1)):
-        if upper:
-            _mac(b, i, s, t, a, 1, b, i + 1, m - 1 - i)
-        else:
-            _mac(b, i, s, t, a, m - 1 - i, b, 0, i)
+        _mac(b, i, s, t, a, 1, b, i + 1, m - 1 - i)
 
 
-def _quad_tri_toeplitz_mul(a, b, upper: bool):
+def _quad_tri_toeplitz_mul(a, b):
     field = b.field
     m = len(b)
-    _tri_sweep(a, b, upper, a[0 if upper else m - 1], 1, upper)
+    _tri_sweep(a, b, a[0], 1, True)
     scope = field.scope
     if scope is not None:
         scope.count(adds=m * (m - 1) // 2, muls=m * (m + 1) // 2)
 
 
-def _quad_tri_toeplitz_solve(a, b, upper: bool):
+def _quad_tri_toeplitz_solve(a, b):
     field = b.field
     m = len(b)
-    inv_diag = field.inv(a[0 if upper else m - 1])
-    _tri_sweep(a, b, upper, inv_diag, -inv_diag, not upper)
+    inv_diag = field.inv(a[0])
+    _tri_sweep(a, b, inv_diag, -inv_diag, False)
     scope = field.scope
     if scope is not None:
         scope.count(adds=m * (m - 1) // 2, muls=m * (m - 1) // 2 + m)
 
 
-def _check_tri(a, b, orientation):
+def _as_upper(a, b, orientation):
+    """(a, b) as operands of the upper matrix: lower(a) . b = J . upper(rev a) . J . b."""
     if len(a) != len(b):
         raise LengthMismatch(f"need equal lengths, got {len(a)}, {len(b)}")
     if orientation not in ("lower", "upper"):
         raise ValueError(f"orientation must be 'lower' or 'upper': {orientation!r}")
+    return (a, b) if orientation == "upper" else (a.reversed(), b.reversed())
 
 
 @tracked
@@ -193,25 +182,19 @@ def tri_toeplitz_mul_overplace(a: CoeffRegion, b: CoeffRegion, orientation: str,
     threshold a quadratic sweep finishes in place.
     """
     strategy = _resolve(strategy)
-    _check_tri(a, b, orientation)
+    a, b = _as_upper(a, b, orientation)
     m = len(b)
     if m == 0:
         return
     if m <= strategy.threshold:
-        _quad_tri_toeplitz_mul(a, b, orientation == "upper")
+        _quad_tri_toeplitz_mul(a, b)
         return
     k = (m + 1) // 2
     b1, b2 = b.sub(0, k), b.sub(k, m)
-    if orientation == "lower":
-        tri_toeplitz_mul_overplace(a.sub(k, m), b2, "lower", strategy)
-        rect_toeplitz_acc(b2, ToeplitzView(a.sub(0, m - 1), m - k, k), b1,
-                          strategy=strategy)
-        tri_toeplitz_mul_overplace(a.sub(m - k, m), b1, "lower", strategy)
-    else:
-        tri_toeplitz_mul_overplace(a.sub(0, k), b1, "upper", strategy)
-        rect_toeplitz_acc(b1, ToeplitzView(a.sub(1, m), k, m - k), b2,
-                          strategy=strategy)
-        tri_toeplitz_mul_overplace(a.sub(0, m - k), b2, "upper", strategy)
+    tri_toeplitz_mul_overplace(a.sub(0, k), b1, "upper", strategy)
+    rect_toeplitz_acc(b1, ToeplitzView(a.sub(1, m), k, m - k), b2,
+                      strategy=strategy)
+    tri_toeplitz_mul_overplace(a.sub(0, m - k), b2, "upper", strategy)
 
 
 @tracked
@@ -223,28 +206,21 @@ def tri_toeplitz_solve_overplace(a: CoeffRegion, b: CoeffRegion, orientation: st
     invertible.
     """
     strategy = _resolve(strategy)
-    _check_tri(a, b, orientation)
+    a, b = _as_upper(a, b, orientation)
     m = len(b)
     if m == 0:
         return
-    upper = orientation == "upper"
-    if a[0 if upper else m - 1] == 0:
+    if a[0] == 0:
         raise SingularDiagonal("triangular Toeplitz solve needs a nonzero diagonal")
     if m <= strategy.threshold:
-        _quad_tri_toeplitz_solve(a, b, upper)
+        _quad_tri_toeplitz_solve(a, b)
         return
     k = (m + 1) // 2
     b1, b2 = b.sub(0, k), b.sub(k, m)
-    if upper:
-        tri_toeplitz_solve_overplace(a.sub(0, m - k), b2, "upper", strategy)
-        rect_toeplitz_acc(b1, ToeplitzView(a.sub(1, m), k, m - k), b2,
-                          negate=True, strategy=strategy)
-        tri_toeplitz_solve_overplace(a.sub(0, k), b1, "upper", strategy)
-    else:
-        tri_toeplitz_solve_overplace(a.sub(m - k, m), b1, "lower", strategy)
-        rect_toeplitz_acc(b2, ToeplitzView(a.sub(0, m - 1), m - k, k), b1,
-                          negate=True, strategy=strategy)
-        tri_toeplitz_solve_overplace(a.sub(k, m), b2, "lower", strategy)
+    tri_toeplitz_solve_overplace(a.sub(0, m - k), b2, "upper", strategy)
+    rect_toeplitz_acc(b1, ToeplitzView(a.sub(1, m), k, m - k), b2,
+                      negate=True, strategy=strategy)
+    tri_toeplitz_solve_overplace(a.sub(0, k), b1, "upper", strategy)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import csv
 import subprocess
 import sys
+from pathlib import Path
 
 from ffpoly.cli import BENCH_HEADER, format_poly, main, read_poly
 from ffpoly.reference import ref_convolution, ref_divmod, ref_mulmod, ref_rem
@@ -130,6 +131,17 @@ def test_bench_deterministic_counts(tmp_path):
     main(["bench", "--seed", "2", "--sizes", "16", "--out", str(out2)])
     # counts are structural: different seeds, identical numbers
     assert out1.read_text() == out2.read_text()
+
+
+def test_bench_matches_pinned_counts(tmp_path):
+    # op counts, peak aux and depth are structural; any change to them shows
+    # here as a diff against the committed output
+    data = Path(__file__).resolve().parent / "data"
+    for name, args in (("bench_seed42.csv", []),
+                       ("bench_gf2_seed42.csv", ["--mod", "2", "--sizes", "64,256"])):
+        out = tmp_path / name
+        assert main(["bench", *args, "--seed", "42", "--out", str(out)]) == 0
+        assert out.read_bytes() == (data / name).read_bytes(), name
 
 
 def test_console_entry_point_runs():

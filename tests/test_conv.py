@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ffpoly import (
+    AliasedOperands,
     BadParameter,
     F2_SHORT_SCHEDULE,
     LengthMismatch,
@@ -170,6 +171,32 @@ def test_domain_errors():
         conv_acc(region_of(5, []), region_of(5, []), region_of(5, []), 1)
 
 
+def test_aliased_operands_rejected_before_any_write():
+    # squaring through one region used to be accepted: the variants that
+    # add or scale blocks of a and of b then touched the same storage twice
+    rng = random.Random(0xA1)
+    p, n = 65521, 40
+    for f in (0, 1, 2, 3):
+        a = region_of(p, rand_coeffs(rng, p, n))
+        c = region_of(p, rand_coeffs(rng, p, n))
+        snap = snapshot(a, c)
+        with pytest.raises(AliasedOperands):
+            conv_acc(c, a, a, f)
+        snap.assert_restored()
+    # c overlapping an operand through a reversed view of one buffer
+    r = region_of(p, rand_coeffs(rng, p, 2 * n))
+    b = region_of(p, rand_coeffs(rng, p, n))
+    snap = snapshot(r, b)
+    with pytest.raises(AliasedOperands):
+        conv_acc(r.sub(0, n), r.sub(n - 1, 2 * n - 1).reversed(), b, 2)
+    snap.assert_restored()
+    # disjoint windows of one buffer are not aliased
+    c0, a0 = r.sub(0, n).to_list(), r.sub(n, 2 * n).to_list()
+    conv_acc(r.sub(0, n), r.sub(n, 2 * n), b, 2)
+    assert r.sub(0, n).to_list() == [
+        (x + y) % p for x, y in zip(c0, ref_convolution(a0, b.to_list(), 2, n, p))]
+
+
 def test_fuzz_all_routes():
     rng = random.Random(0xC0)
     for p in FIELD_PRIMES:
@@ -230,7 +257,8 @@ def test_bilinear_schedule_self_inverse():
 
 
 def test_bilinear_step_net_effect():
-    # one record adds exactly (rows coupling matrix) . (product halves)
+    # one record adds exactly (rows coupling matrix) . (product halves), or
+    # the low half alone when it names a single row
     rng = random.Random(41)
     t = 4
     for step in F2_SHORT_SCHEDULE:
@@ -252,9 +280,12 @@ def test_bilinear_step_net_effect():
         pb = combined(b0, step.b_adds, step.b_block)
         prod = ref_mul(pa, pb, 2) + [0] * (2 * t)
         rho = [prod[:t], prod[t:2 * t - 1] + [0]]
-        i, j = step.rows
+        i, j = step.rows[0], step.rows[-1]
         want = [list(c0[k * t:(k + 1) * t]) for k in range(3)]
-        if step.couple:
+        if len(step.rows) == 1:
+            # a single row gains the truncated product pa*pb mod X^t
+            want[i] = [(x + r0) % 2 for x, r0 in zip(want[i], rho[0])]
+        elif step.couple:
             # (ci; cj) += [[1,0],[1,1]] . (rho0; rho1)
             want[i] = [(x + r0) % 2 for x, r0 in zip(want[i], rho[0])]
             want[j] = [(x + r0 + r1) % 2 for x, r0, r1 in zip(want[j], rho[0], rho[1])]

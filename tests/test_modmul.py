@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ffpoly import (
+    AliasedOperands,
     Buffer,
     DegreeConstraint,
     NonInvertibleLeading,
@@ -207,7 +208,30 @@ def test_zero_aux_space():
     a = poly_region(f, rand_coeffs(rng, f.p, 16) + [1])
     c = poly_region(f, rand_coeffs(rng, f.p, 100))
     b = poly_region(f, rand_monic_tail(rng, f.p, 24))
+    c_copy = poly_region(f, c.to_list())
     r = Buffer.zeros(f, 24).region()
     with measure(f, max_aux=0):
         mulmod_acc(r, a, c, b)
-        mulmod_acc_full(r, c, c, b)
+        mulmod_acc_full(r, c, c_copy, b)
+
+
+def test_aliased_operands_rejected_before_any_write():
+    # mulmod_acc_full(r, a, a, b) used to return a wrong result and leave a
+    # corrupted: the over-place steps on c also rewrote a
+    rng = random.Random(0xA2)
+    p = 65521
+    short = region_of(p, rand_coeffs(rng, p, 16) + [1])
+    long = region_of(p, rand_coeffs(rng, p, 40) + [1])
+    b = region_of(p, rand_monic_tail(rng, p, 24))
+    r = _zeros(p, 24)
+    snap = snapshot(short, long, b, r)
+    for fn in (mulmod_acc, mulmod_acc_full):
+        with pytest.raises(AliasedOperands):
+            fn(r, short, short, b)
+        with pytest.raises(AliasedOperands):
+            fn(long.sub(0, 24), short, long, b)
+        with pytest.raises(AliasedOperands):
+            fn(r, short, long, long.sub(16, 41))
+    with pytest.raises(AliasedOperands):
+        mulmod_acc_full(r, long, long, b)
+    snap.assert_restored()

@@ -14,7 +14,6 @@ from ffpoly import (
     VirtualWrite,
     measure,
     poly_region,
-    reverse_in_place,
     snapshot,
     split_blocks,
 )
@@ -43,21 +42,6 @@ def test_reversed_view_reads_and_writes():
 def test_reversal_involution(values):
     r = poly_region(field(7), values)
     assert r.reversed().reversed().to_list() == values
-    reverse_in_place(r)
-    reverse_in_place(r)
-    assert r.to_list() == values
-
-
-def test_reverse_in_place_examples():
-    r = poly_region(field(7), [1, 2, 3])
-    reverse_in_place(r)
-    assert r.to_list() == [3, 2, 1]
-    r = poly_region(field(7), [])
-    reverse_in_place(r)
-    assert r.to_list() == []
-    r = poly_region(field(7), [4, 4])
-    reverse_in_place(r)
-    assert r.to_list() == [4, 4]
 
 
 def test_split_blocks_exact_tiling():
@@ -118,6 +102,20 @@ def test_split_target_rejects_overlap():
         SplitTarget(buf.sub(0, 2), buf.sub(1, 3))
 
 
+def test_overlaps_iff_windows_share_a_cell():
+    buf = poly_region(field(7), list(range(7)))
+    views = [v for lo in range(8) for hi in range(lo, 8)
+             for v in (buf.sub(lo, hi), buf.sub(lo, hi).reversed())]
+
+    def cells(v):
+        return {v.start + k * v.step for k in range(v.length)}
+
+    for u in views:
+        for v in views:
+            assert u.overlaps(v) == bool(cells(u) & cells(v)), (u, v)
+    assert not buf.overlaps(poly_region(field(7), list(range(7))))
+
+
 def test_snapshot_detects_first_difference():
     r = poly_region(field(7), [1, 2])
     snap = snapshot(r)
@@ -152,7 +150,6 @@ def test_view_operations_do_not_allocate():
     with measure(f, max_aux=0):
         r.sub(1, 5).reversed()
         split_blocks(r, 3, pad_virtual=True)
-        reverse_in_place(r)
         vec_iadd(r.sub(0, 3), r.sub(3, 6))
         vec_scale(r, 2)
         vec_negate(r)
