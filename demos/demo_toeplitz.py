@@ -30,15 +30,16 @@ print("circulant_acc:    ", c.to_list(), " dense matvec:",
       ref_matvec(ref_dense_circulant([1, 3], 2, 7), [1, 1], 7))
 
 # A square Toeplitz from the vector [1, 2, 3] is [[2, 3], [1, 2]]; the
-# product splits into a triangular circulant part plus a truncated product
-# on reversed views for the strictly lower triangle.
+# product is two truncated products on views, one for the upper triangle
+# (diagonal included) and one for the strictly lower triangle.
 c = poly_region(F7, [0, 0])
 square_toeplitz_acc(c, poly_region(F7, [1]), poly_region(F7, [2, 3]),
                     poly_region(F7, [1, 1]))
 print("square Toeplitz:  ", c.to_list())
 
-# Rectangular shapes peel square blocks: a 3x2 from [1, 2, 3, 4] is
-# [[3, 4], [2, 3], [1, 2]].
+# Rectangular shapes peel square blocks while both sides exceed the
+# strategy threshold and finish the strip left row by row: a 3x2 from
+# [1, 2, 3, 4] is [[3, 4], [2, 3], [1, 2]], three dot products.
 F5 = Field(5)
 vec = poly_region(F5, [1, 2, 3, 4])
 print("dense 3x2:        ", ref_dense_toeplitz([1, 2, 3, 4], 3, 2))

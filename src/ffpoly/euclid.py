@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from .conv import LengthMismatch, short_acc
 from .instrument import tracked
 from .mulbase import MulStrategy, _resolve
-from .region import CoeffRegion, split_blocks, vec_copy, vec_iadd, vec_negate, vec_scale
+from .region import (
+    CoeffRegion, _check_disjoint, split_blocks, vec_copy, vec_iadd, vec_negate, vec_scale)
 from .toeplitz import (
     ToeplitzView,
     _quad_tri_toeplitz_mul,
@@ -108,6 +109,7 @@ def remainder_blockwise(r: CoeffRegion, a: CoeffRegion, b: CoeffRegion,
         raise LengthMismatch(f"remainder window must have length {m}")
     if len(scratch) != m:
         raise LengthMismatch(f"scratch must have length {m}")
+    _check_disjoint(r, a, b, scratch)
     n_deg = len(a) - 1
     if m == 0:
         return
@@ -137,6 +139,7 @@ def remainder_in_place(r: CoeffRegion, a: CoeffRegion, b: CoeffRegion,
     m = _divisor_degree(b)
     if len(r) != m:
         raise LengthMismatch(f"remainder window must have length {m}")
+    _check_disjoint(r, a, b)
     n_deg = len(a) - 1
     if m == 0:
         return
@@ -151,12 +154,6 @@ def remainder_in_place(r: CoeffRegion, a: CoeffRegion, b: CoeffRegion,
         tri_toeplitz_mul_overplace(ctx.g_low, r_rev, "upper", strategy)
         vec_negate(r)
         vec_iadd(r, ctx.blocks[i])
-
-
-def _g_acc(target: CoeffRegion, b: CoeffRegion, y: CoeffRegion, m: int,
-           negate: bool, strategy) -> None:
-    """target +-= G . y, via G . y = (b mod X^M) * y mod X^M."""
-    short_acc(target, b.sub(0, m), y, negate, strategy)
 
 
 def _g1_acc(target: CoeffRegion, ctx: EuclidContext, b: CoeffRegion,
@@ -184,6 +181,7 @@ def divmod_over_place(a: CoeffRegion, b: CoeffRegion,
     """
     strategy = _resolve(strategy)
     m = _divisor_degree(b)
+    _check_disjoint(a, b)
     n_deg = len(a) - 1
     if m > n_deg:
         return
@@ -198,7 +196,7 @@ def divmod_over_place(a: CoeffRegion, b: CoeffRegion,
         _g1_acc(ctx.blocks[ctx.mu - 1], ctx, b, top, True, strategy)
     for i in range(ctx.mu - 1, 0, -1):
         tri_toeplitz_solve_overplace(ctx.t_row, ctx.blocks[i], "upper", strategy)
-        _g_acc(ctx.blocks[i - 1], b, ctx.blocks[i], m, True, strategy)
+        short_acc(ctx.blocks[i - 1], ctx.g_low, ctx.blocks[i], True, strategy)
 
 
 @tracked
@@ -207,6 +205,7 @@ def divmod_over_place_inv(a: CoeffRegion, b: CoeffRegion,
     """Invert `divmod_over_place`: rebuild a from [remainder | quotient]."""
     strategy = _resolve(strategy)
     m = _divisor_degree(b)
+    _check_disjoint(a, b)
     n_deg = len(a) - 1
     if m > n_deg:
         return
@@ -216,7 +215,7 @@ def divmod_over_place_inv(a: CoeffRegion, b: CoeffRegion,
         return
     ctx = euclid_context(a, b, exact=True)
     for i in range(1, ctx.mu):
-        _g_acc(ctx.blocks[i - 1], b, ctx.blocks[i], m, False, strategy)
+        short_acc(ctx.blocks[i - 1], ctx.g_low, ctx.blocks[i], False, strategy)
         tri_toeplitz_mul_overplace(ctx.t_row, ctx.blocks[i], "upper", strategy)
     if ctx.s:
         top = ctx.blocks[ctx.mu]
@@ -236,6 +235,7 @@ def remainder_acc(r: CoeffRegion, a: CoeffRegion, b: CoeffRegion,
     m = _divisor_degree(b)
     if len(r) != m:
         raise LengthMismatch(f"accumulator must have length {m}")
+    _check_disjoint(r, a, b)
     n_deg = len(a) - 1
     if m > n_deg:
         vec_iadd(r.sub(0, n_deg + 1), a)

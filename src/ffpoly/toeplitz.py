@@ -1,16 +1,13 @@
 """Structured matrix-vector operations on f-circulant and Toeplitz matrices.
 
 Matrices are never materialized: every operation works from the defining
-coefficient vector (a region) plus shape data.  Accumulating products
-reduce to wrapped convolutions through a fixed index correspondence,
-
-    Circ_f(a) . b  =  reverse(conv_f(a, reverse(b))),
-
-and every mirror image is an O(1) reversed view.  The square Toeplitz
-product adds a truncated product on reversed views for its strictly lower
-part; over-place triangular multiply and solve recurse on halves of the
-upper matrix only, and banded variants chunk a long vector by the band
-width.
+coefficient vector (a region) plus shape data, and every mirror image is
+an O(1) reversed view.  Circ_f(a) . b = reverse(conv_f(a, reverse(b))).
+A square Toeplitz block is two truncated products on views, one per
+triangle; a rectangular one peels squares while both sides exceed the
+strategy threshold and finishes the strip left row by row.  Over-place
+triangular multiply and solve recurse on halves of the upper matrix only,
+and banded variants chunk a long vector by the band width.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from dataclasses import dataclass
 from .conv import LengthMismatch, conv_acc, short_acc, short_acc_ragged
 from .instrument import tracked
 from .mulbase import MulStrategy, SingularDiagonal, _resolve
-from .region import CoeffRegion, _mac
+from .region import CoeffRegion, _check_disjoint, _mac
 
 
 @dataclass(frozen=True)
@@ -77,51 +74,49 @@ def square_toeplitz_acc(c: CoeffRegion, a1: CoeffRegion, a2: CoeffRegion,
                         strategy: MulStrategy | None = None) -> None:
     """c += Toeplitz([a1, a2]) . b for the square matrix of size len(a2).
 
-    The part on and above the diagonal is the 0-circulant of a2; the
-    strictly lower triangle adds (reversed a1) * b mod X^(s-1) into c[1:].
+    Two truncated products on views of disjoint regions: a2 * reversed(b)
+    mod X^s into reversed(c) on and above the diagonal, (reversed a1) * b
+    mod X^(s-1) into c[1:] below it.
     """
     s = len(c)
     if len(a2) != s or len(b) != s or len(a1) != s - 1:
         raise LengthMismatch(
             f"need lengths (s-1, s, s, s), got ({len(a1)}, {len(a2)}, {len(b)}, {s})")
-    circulant_acc(c, CirculantView(a2, 0), b, negate, strategy)
+    _check_disjoint(c, a1, a2, b)
+    short_acc(c.reversed(), a2, b.reversed(), negate, strategy)
     if s >= 2:
         short_acc(c.sub(1, s), a1.reversed(), b.sub(0, s - 1), negate, strategy)
-
-
-def _square_acc_vec(c, vec, b, negate, strategy):
-    s = len(c)
-    square_toeplitz_acc(c, vec.sub(0, s - 1), vec.sub(s - 1, 2 * s - 1), b,
-                        negate, strategy)
 
 
 @tracked
 def rect_toeplitz_acc(c: CoeffRegion, view: ToeplitzView, b: CoeffRegion,
                       negate: bool = False, strategy: MulStrategy | None = None) -> None:
-    """c += T . b for a rectangular Toeplitz T, by square-block peeling.
+    """c += T . b for a rectangular Toeplitz T; c, T's vector and b disjoint.
 
-    Tall matrices peel the top square and keep the remaining rows; wide
-    ones peel the leading columns.  The tail call is a loop, so extreme
-    aspect ratios cost no stack.
+    While both sides exceed the strategy threshold, a loop peels the top
+    (tall T) or leading (wide T) square; the strip left is finished row by
+    row, one dot product per row, so no aspect ratio costs stack.
     """
+    strategy = _resolve(strategy)
     vec = view.vec
     m, n = view.rows, view.cols
     if len(c) != m or len(b) != n:
         raise LengthMismatch(f"need lengths ({m}, {n}), got ({len(c)}, {len(b)})")
-    while m and n:
-        if m == n:
-            _square_acc_vec(c, vec, b, negate, strategy)
-            return
-        if m > n:
-            _square_acc_vec(c.sub(0, n), vec.sub(m - n, m + n - 1), b, negate, strategy)
-            c = c.sub(n, m)
-            vec = vec.sub(0, m - 1)
-            m -= n
+    _check_disjoint(c, vec, b)
+    while min(m, n) > strategy.threshold:
+        s = min(m, n)
+        square_toeplitz_acc(c.sub(0, s), vec.sub(m - s, m - 1), vec.sub(m - 1, m + s - 1),
+                            b.sub(0, s), negate, strategy)
+        if m >= n:
+            c, vec, m = c.sub(s, m), vec.sub(0, m - 1), m - s
         else:
-            _square_acc_vec(c, vec.sub(0, 2 * m - 1), b.sub(0, m), negate, strategy)
-            vec = vec.sub(m, m + n - 1)
-            b = b.sub(m, n)
-            n -= m
+            vec, b, n = vec.sub(s, m + n - 1), b.sub(s, n), n - s
+    t = -1 if negate else 1
+    for i in range(m):
+        _mac(c, i, 1, t, vec, m - 1 - i, b, 0, n)
+    scope = c.field.scope
+    if scope is not None:
+        scope.count(adds=m * n, muls=m * n)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +162,7 @@ def _as_upper(a, b, orientation):
     """(a, b) as operands of the upper matrix: lower(a) . b = J . upper(rev a) . J . b."""
     if len(a) != len(b):
         raise LengthMismatch(f"need equal lengths, got {len(a)}, {len(b)}")
+    _check_disjoint(a, b)
     if orientation not in ("lower", "upper"):
         raise ValueError(f"orientation must be 'lower' or 'upper': {orientation!r}")
     return (a, b) if orientation == "upper" else (a.reversed(), b.reversed())
@@ -249,6 +245,7 @@ def banded_upper_mul_overplace(x: CoeffRegion, y: CoeffRegion,
     k = len(x)
     if k == 0:
         raise LengthMismatch("band vector must be nonempty")
+    _check_disjoint(x, y)
     if k > m:
         x = x.sub(0, m)
         k = m
@@ -277,6 +274,7 @@ def banded_upper_solve_overplace(x: CoeffRegion, y: CoeffRegion,
     k = len(x)
     if k == 0:
         raise LengthMismatch("band vector must be nonempty")
+    _check_disjoint(x, y)
     if k > m:
         x = x.sub(0, m)
         k = m

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ffpoly import (
+    AliasedOperands,
     Buffer,
     NonInvertibleLeading,
     Schoolbook,
@@ -256,3 +257,26 @@ def test_in_place_zero_aux():
         divmod_over_place(a, b)
         divmod_over_place_inv(a, b)
         remainder_acc(r, a, b)
+
+
+def test_aliased_operands_rejected_before_any_write():
+    rng = random.Random(4)
+    p, n_deg, m = 65521, 199, 32
+    a = region_of(p, rand_monic_tail(rng, p, n_deg))
+    b = region_of(p, rand_monic_tail(rng, p, m))
+    r = _zeros(p, m)
+    snap = snapshot(a, b, r)
+    cases = [
+        (remainder_in_place, (a.sub(0, m), a, b)),
+        (remainder_in_place, (b.sub(0, m), a, b)),
+        (remainder_blockwise, (r, a, b, a.sub(0, m))),
+        (remainder_blockwise, (r, a, b, b.sub(1, m + 1).reversed())),
+        (remainder_acc, (a.sub(0, m), a, b)),
+        (remainder_acc, (r, a, a.sub(n_deg - m, n_deg + 1))),
+        (divmod_over_place, (a, a.sub(n_deg - m, n_deg + 1))),
+        (divmod_over_place_inv, (a, a.sub(n_deg - m, n_deg + 1))),
+    ]
+    for fn, args in cases:
+        with pytest.raises(AliasedOperands):
+            fn(*args)
+        snap.assert_restored()

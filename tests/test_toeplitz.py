@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+import ffpoly.toeplitz as toeplitz_module
 from ffpoly import (
+    AliasedOperands,
     Buffer,
     CirculantView,
     LengthMismatch,
@@ -14,6 +16,7 @@ from ffpoly import (
     circulant_acc,
     measure,
     measure_call,
+    mulmod_acc_full,
     poly_region,
     rect_toeplitz_acc,
     snapshot,
@@ -297,3 +300,100 @@ def test_zero_auxiliary_space():
     with measure(f, max_aux=0):
         tri_toeplitz_mul_overplace(a, b, "upper")
         tri_toeplitz_solve_overplace(a, b, "upper")
+
+
+@pytest.mark.parametrize("m, n", [(1, 40), (40, 1), (16, 33), (33, 16)])
+@pytest.mark.parametrize("neg", [False, True])
+def test_rect_strip_is_one_quadratic_base_case(m, n, neg):
+    # min(m, n) at the threshold: no square is peeled, one dot product per
+    # row, exactly m*n adds and muls and no tracked sub-call
+    f = field(65521)
+    rng = random.Random(m * 100 + n)
+    vec = rand_coeffs(rng, f.p, m + n - 1)
+    b = rand_coeffs(rng, f.p, n)
+    c0 = rand_coeffs(rng, f.p, m)
+    rv, rb, rc = poly_region(f, vec), poly_region(f, b), poly_region(f, c0)
+    scope = measure_call(f, rect_toeplitz_acc, rc, ToeplitzView(rv, m, n), rb,
+                         negate=neg, strategy=Schoolbook(16))
+    sign = -1 if neg else 1
+    mv = ref_matvec(ref_dense_toeplitz(vec, m, n), b, f.p)
+    assert rc.to_list() == [(x + sign * y) % f.p for x, y in zip(c0, mv)]
+    assert (scope.adds, scope.muls, scope.divs) == (m * n, m * n, 0)
+    assert scope.peak_depth == 1
+    assert rv.to_list() == vec and rb.to_list() == b
+
+
+def _count_square_calls(monkeypatch):
+    calls = []
+    inner = toeplitz_module.square_toeplitz_acc
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(toeplitz_module, "square_toeplitz_acc", counting)
+    return calls
+
+
+def test_blocks_at_the_threshold_peel_no_squares(monkeypatch):
+    calls = _count_square_calls(monkeypatch)
+    f = field(65521)
+    rng = random.Random(77)
+
+    def rand_region(n, lead=()):
+        return poly_region(f, rand_coeffs(rng, f.p, n) + list(lead))
+
+    # control: a square above the threshold is one peeled block
+    rect_toeplitz_acc(rand_region(17), ToeplitzView(rand_region(33), 17, 17), rand_region(17))
+    assert calls == [17]
+    calls.clear()
+    tri_toeplitz_mul_overplace(rand_region(16, [1]), rand_region(17), "upper")
+    assert calls == []
+    # the narrow mulmod shape (deg a, deg c, deg b) = (16, 1023, 16)
+    mulmod_acc_full(poly_region(f, [0] * 16), rand_region(16, [1]),
+                    rand_region(1023, [1]), rand_region(16, [1]))
+    assert calls == []
+
+
+@pytest.mark.parametrize("m", [8, 40])
+@pytest.mark.parametrize("orientation", ["lower", "upper"])
+def test_triangular_aliasing_rejected_before_any_write(m, orientation):
+    rng = random.Random(m)
+    x = region_of(65521, [1] + rand_coeffs(rng, 65521, 2 * m - 1))
+    snap = snapshot(x)
+    for fn in (tri_toeplitz_mul_overplace, tri_toeplitz_solve_overplace):
+        with pytest.raises(AliasedOperands):
+            fn(x.sub(0, m), x.sub(0, m), orientation)
+        with pytest.raises(AliasedOperands):
+            fn(x.sub(0, m), x.sub(m - 1, 2 * m - 1).reversed(), orientation)
+        snap.assert_restored()
+
+
+@pytest.mark.parametrize("m", [8, 40])
+def test_banded_aliasing_rejected_before_any_write(m):
+    rng = random.Random(m)
+    y = region_of(65521, [1] + rand_coeffs(rng, 65521, m - 1))
+    snap = snapshot(y)
+    for fn in (banded_upper_mul_overplace, banded_upper_solve_overplace):
+        with pytest.raises(AliasedOperands):
+            fn(y.sub(0, 5), y)
+        snap.assert_restored()
+
+
+def test_square_and_rect_aliasing_rejected_before_any_write():
+    rng = random.Random(5)
+    buf = region_of(65521, rand_coeffs(rng, 65521, 12))
+    b = region_of(65521, rand_coeffs(rng, 65521, 4))
+    snap = snapshot(buf, b)
+    # a1 overlapping c
+    with pytest.raises(AliasedOperands):
+        square_toeplitz_acc(buf.sub(0, 4), buf.sub(1, 4), buf.sub(4, 8), b)
+    snap.assert_restored()
+    # c overlapping b in its last row only
+    with pytest.raises(AliasedOperands):
+        rect_toeplitz_acc(buf.sub(0, 3), ToeplitzView(buf.sub(4, 7), 3, 1), buf.sub(2, 3))
+    snap.assert_restored()
+    # the defining vector overlapping b
+    with pytest.raises(AliasedOperands):
+        rect_toeplitz_acc(buf.sub(0, 3), ToeplitzView(buf.sub(4, 9), 3, 3), buf.sub(8, 11))
+    snap.assert_restored()
