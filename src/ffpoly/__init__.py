@@ -16,7 +16,7 @@ from .region import (
 from .instrument import AllocGuard, GuardViolation, OpCounter, Scope, measure, measure_call
 from .mulbase import (
     MulStrategy,
-    NonMonicLeadingZero,
+    NonInvertibleLeading,
     Schoolbook,
     SingularDiagonal,
     TargetTooShort,
@@ -36,7 +36,6 @@ from .conv import (
     conv_even_1,
     conv_even_f,
     conv_odd_f,
-    plan_convolution,
     short_acc,
     short_acc_ragged,
 )
@@ -53,7 +52,6 @@ from .toeplitz import (
 )
 from .euclid import (
     EuclidContext,
-    NonInvertibleLeading,
     divmod_over_place,
     divmod_over_place_inv,
     euclid_context,
@@ -73,18 +71,18 @@ __all__ = [
     # instrument
     "AllocGuard", "GuardViolation", "OpCounter", "Scope", "measure", "measure_call",
     # mulbase
-    "MulStrategy", "NonMonicLeadingZero", "Schoolbook", "SingularDiagonal",
+    "MulStrategy", "NonInvertibleLeading", "Schoolbook", "SingularDiagonal",
     "TargetTooShort", "acc_mul_full", "acc_mul_short", "default_strategy", "quad_rem",
     "quad_rem_overplace", "quad_tri_mul_overplace", "quad_tri_solve_overplace",
     # conv
     "BadParameter", "F2_SHORT_SCHEDULE", "LengthMismatch", "conv_acc", "conv_even_1",
-    "conv_even_f", "conv_odd_f", "plan_convolution", "short_acc", "short_acc_ragged",
+    "conv_even_f", "conv_odd_f", "short_acc", "short_acc_ragged",
     # toeplitz
     "CirculantView", "ToeplitzView", "banded_upper_mul_overplace",
     "banded_upper_solve_overplace", "circulant_acc", "rect_toeplitz_acc",
     "square_toeplitz_acc", "tri_toeplitz_mul_overplace", "tri_toeplitz_solve_overplace",
     # euclid
-    "EuclidContext", "NonInvertibleLeading", "divmod_over_place", "divmod_over_place_inv",
+    "EuclidContext", "divmod_over_place", "divmod_over_place_inv",
     "euclid_context", "remainder_acc", "remainder_blockwise", "remainder_in_place",
     # modmul
     "DegreeConstraint", "MulmodBlocks", "mulmod_acc", "mulmod_acc_full", "mulmod_blocks",

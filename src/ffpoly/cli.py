@@ -17,17 +17,11 @@ import random
 import sys
 
 from .conv import BadParameter, LengthMismatch, conv_acc
-from .euclid import (
-    NonInvertibleLeading,
-    divmod_over_place,
-    divmod_over_place_inv,
-    remainder_acc,
-    remainder_in_place,
-)
+from .euclid import divmod_over_place, divmod_over_place_inv, remainder_acc, remainder_in_place
 from .ff import Field, FieldError
 from .instrument import measure
 from .modmul import DegreeConstraint, mulmod_acc_full
-from .mulbase import acc_mul_full
+from .mulbase import NonInvertibleLeading, acc_mul_full
 from .region import Buffer, poly_region, snapshot
 from . import reference
 
@@ -113,7 +107,7 @@ def cmd_quorem(args) -> int:
     divmod_over_place(ra, rb)
     buf = ra.to_list()
     if m > len(a) - 1:
-        rem, quo = buf, []
+        rem, quo = buf + [0] * (m - len(buf)), []
     else:
         rem, quo = buf[:m], buf[m:]
     write_poly(args.out, field.p, rem)

@@ -31,18 +31,6 @@ class BadParameter(ValueError):
     """Parameter outside a variant's domain (parity, f value, n = 0)."""
 
 
-@dataclass(frozen=True)
-class ConvParams:
-    """Routing plan for one convolution instance."""
-
-    n: int
-    f: int
-    route: str           # "short" | "odd" | "even_one" | "even_general"
-    t: int               # split point used by the halving variants
-    lam: int | None = None   # scaling pair for the truncated product,
-    g: int | None = None     # valid whenever the field is not GF(2)
-
-
 def _route(n: int, f: int) -> str:
     """The variant computing c += a*b mod (X^n - f); the one routing decision."""
     if f == 0:
@@ -63,15 +51,6 @@ def _scaling_pair(field):
 def _check_f(field, f: int) -> None:
     if not 0 <= f < field.p:
         raise BadParameter(f"f must be a canonical residue mod {field.p}: {f}")
-
-
-def plan_convolution(field, n: int, f: int) -> ConvParams:
-    if n < 1:
-        raise BadParameter(f"convolution length must be >= 1: {n}")
-    _check_f(field, f)
-    route = _route(n, f)
-    t = {"short": n // 3, "odd": (n + 1) // 2}.get(route, n // 2)
-    return ConvParams(n, f, route, t, *_scaling_pair(field))
 
 
 def _check_triple(c, a, b):

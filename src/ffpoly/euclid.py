@@ -9,7 +9,10 @@ Toeplitz structure built from two M x M blocks of b:
 
 A Horner sweep r <- (-G T^{-1}) r + a_i over the blocks of a, from the
 top block down, leaves exactly the remainder, so the quotient is
-overwritten block by block and never stored.
+overwritten block by block and never stored.  Every entry point tiles a
+exactly (`euclid_context`): only the top block can be shorter than M, and
+the sweeps that start in r zero-extend it once, when `vec_copy` puts it
+there.
 
 `remainder_blockwise` runs that sweep with read-only inputs and one
 caller-provided M-element scratch vector.  `remainder_in_place` replaces
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 from .conv import LengthMismatch, short_acc
 from .instrument import tracked
-from .mulbase import MulStrategy, _resolve
+from .mulbase import MulStrategy, _divisor_degree, _resolve
 from .region import (
     CoeffRegion, _check_disjoint, split_blocks, vec_copy, vec_iadd, vec_negate, vec_scale)
 from .toeplitz import (
@@ -42,56 +45,34 @@ from .toeplitz import (
 )
 
 
-class NonInvertibleLeading(ZeroDivisionError):
-    """The divisor's leading coefficient is zero (or the divisor is empty)."""
-
-
 @dataclass(frozen=True)
 class EuclidContext:
     """Block decomposition of one division instance.
 
-    In padded mode the dividend is tiled into mu+1 width-M blocks with
-    virtual zeros completing the top block.  In exact mode the top block
-    instead has width s = (N+1) mod M (absent when s = 0), so the tiling
-    covers the buffer exactly and can be transformed in place.
+    The dividend is tiled exactly into mu width-M blocks plus, when
+    s = (N+1) mod M is nonzero, a top block of width s, so the tiling
+    covers the buffer and can be transformed in place.
     """
 
-    n_deg: int
     m_deg: int
-    n: int              # N - M + 1, number of quotient coefficients
-    s: int              # exact-mode top block width, (N+1) mod M
-    mu: int             # number of full-width update steps
+    s: int              # top block width, (N+1) mod M
+    mu: int             # number of full-width blocks
     blocks: tuple
     t_row: CoeffRegion      # first row of T: b[M], ..., b[1]
     g_low: CoeffRegion      # b[0], ..., b[M-1]; G . y = g_low * y mod X^M
-    t1_row: CoeffRegion | None   # s x s upper-left of T (exact mode, s != 0)
+    t1_row: CoeffRegion | None   # s x s upper-left of T (s != 0)
     g1_rect: CoeffRegion | None  # vector of G's lower (M-s) x s rectangle
 
 
-def _divisor_degree(b: CoeffRegion) -> int:
-    m_deg = len(b) - 1
-    if m_deg < 0 or b[m_deg] == 0:
-        raise NonInvertibleLeading("divisor needs a nonzero leading coefficient")
-    return m_deg
-
-
-def euclid_context(a: CoeffRegion, b: CoeffRegion, exact: bool) -> EuclidContext:
-    m_deg = _divisor_degree(b)
-    n_deg = len(a) - 1
-    m = m_deg
+def euclid_context(a: CoeffRegion, b: CoeffRegion) -> EuclidContext:
+    m = _divisor_degree(b)
     t_row = b.sub(1, m + 1).reversed() if m else None
     g_low = b.sub(0, m)
-    n = n_deg - m + 1
-    if exact:
-        s = (n_deg + 1) % m
-        mu = (n_deg + 1 - s) // m
-        blocks = tuple(split_blocks(a, m))
-        t1_row = b.sub(m - s + 1, m + 1).reversed() if s else None
-        g1_rect = b.sub(1, m).reversed() if s and m - s > 0 else None
-        return EuclidContext(n_deg, m, n, s, mu, blocks, t_row, g_low, t1_row, g1_rect)
-    mu = -(-n // m)
-    blocks = tuple(split_blocks(a, m, pad_virtual=True))
-    return EuclidContext(n_deg, m, n, 0, mu, blocks, t_row, g_low, None, None)
+    mu, s = divmod(len(a), m)
+    blocks = tuple(split_blocks(a, m))
+    t1_row = b.sub(m - s + 1, m + 1).reversed() if s else None
+    g1_rect = b.sub(1, m).reversed() if s and m - s > 0 else None
+    return EuclidContext(m, s, mu, blocks, t_row, g_low, t1_row, g1_rect)
 
 
 @tracked
@@ -110,19 +91,18 @@ def remainder_blockwise(r: CoeffRegion, a: CoeffRegion, b: CoeffRegion,
     if len(scratch) != m:
         raise LengthMismatch(f"scratch must have length {m}")
     _check_disjoint(r, a, b, scratch)
-    n_deg = len(a) - 1
     if m == 0:
         return
-    if m > n_deg:
-        vec_copy(r, a.sub_padded(0, m))
+    if m > len(a) - 1:
+        vec_copy(r, a)
         return
-    ctx = euclid_context(a, b, exact=False)
-    vec_copy(r, ctx.blocks[ctx.mu])
-    for i in range(ctx.mu - 1, -1, -1):
+    ctx = euclid_context(a, b)
+    vec_copy(r, ctx.blocks[-1])
+    for block in reversed(ctx.blocks[:-1]):
         vec_copy(scratch, r)
         _quad_tri_toeplitz_solve(ctx.t_row, scratch)
         _quad_tri_toeplitz_mul(ctx.g_low, scratch.reversed())
-        vec_copy(r, ctx.blocks[i])
+        vec_copy(r, block)
         vec_iadd(r, scratch, negate=True)
 
 
@@ -140,20 +120,19 @@ def remainder_in_place(r: CoeffRegion, a: CoeffRegion, b: CoeffRegion,
     if len(r) != m:
         raise LengthMismatch(f"remainder window must have length {m}")
     _check_disjoint(r, a, b)
-    n_deg = len(a) - 1
     if m == 0:
         return
-    if m > n_deg:
-        vec_copy(r, a.sub_padded(0, m))
+    if m > len(a) - 1:
+        vec_copy(r, a)
         return
-    ctx = euclid_context(a, b, exact=False)
-    vec_copy(r, ctx.blocks[ctx.mu])
+    ctx = euclid_context(a, b)
+    vec_copy(r, ctx.blocks[-1])
     r_rev = r.reversed()
-    for i in range(ctx.mu - 1, -1, -1):
+    for block in reversed(ctx.blocks[:-1]):
         tri_toeplitz_solve_overplace(ctx.t_row, r, "upper", strategy)
         tri_toeplitz_mul_overplace(ctx.g_low, r_rev, "upper", strategy)
         vec_negate(r)
-        vec_iadd(r, ctx.blocks[i])
+        vec_iadd(r, block)
 
 
 def _g1_acc(target: CoeffRegion, ctx: EuclidContext, b: CoeffRegion,
@@ -189,7 +168,7 @@ def divmod_over_place(a: CoeffRegion, b: CoeffRegion,
     if m == 0:
         vec_scale(a, field.inv(b[0]))
         return
-    ctx = euclid_context(a, b, exact=True)
+    ctx = euclid_context(a, b)
     if ctx.s:
         top = ctx.blocks[ctx.mu]
         tri_toeplitz_solve_overplace(ctx.t1_row, top, "upper", strategy)
@@ -213,7 +192,7 @@ def divmod_over_place_inv(a: CoeffRegion, b: CoeffRegion,
     if m == 0:
         vec_scale(a, b[0])
         return
-    ctx = euclid_context(a, b, exact=True)
+    ctx = euclid_context(a, b)
     for i in range(1, ctx.mu):
         short_acc(ctx.blocks[i - 1], ctx.g_low, ctx.blocks[i], False, strategy)
         tri_toeplitz_mul_overplace(ctx.t_row, ctx.blocks[i], "upper", strategy)

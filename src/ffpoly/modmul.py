@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .conv import LengthMismatch, short_acc_ragged
-from .euclid import NonInvertibleLeading, divmod_over_place, divmod_over_place_inv
+from .euclid import divmod_over_place, divmod_over_place_inv
 from .instrument import tracked
-from .mulbase import MulStrategy, _resolve, acc_mul_full
+from .mulbase import MulStrategy, NonInvertibleLeading, _divisor_degree, _resolve, acc_mul_full
 from .region import CoeffRegion, _check_disjoint
 from .toeplitz import banded_upper_mul_overplace, banded_upper_solve_overplace
 
@@ -74,9 +74,7 @@ def mulmod_acc(r: CoeffRegion, a: CoeffRegion, c: CoeffRegion, b: CoeffRegion,
     fits under b the accumulation is a single full multiplication.
     """
     strategy = _resolve(strategy)
-    m_deg = len(b) - 1
-    if m_deg < 0 or b[m_deg] == 0:
-        raise NonInvertibleLeading("modulus needs a nonzero leading coefficient")
+    m_deg = _divisor_degree(b)
     if len(r) != m_deg:
         raise LengthMismatch(f"accumulator must have length {m_deg}")
     _check_disjoint(r, a, c, b)
@@ -119,9 +117,7 @@ def mulmod_acc_full(r: CoeffRegion, a: CoeffRegion, c: CoeffRegion, b: CoeffRegi
     and recovered afterwards.
     """
     strategy = _resolve(strategy)
-    m_deg = len(b) - 1
-    if m_deg < 0 or b[m_deg] == 0:
-        raise NonInvertibleLeading("modulus needs a nonzero leading coefficient")
+    m_deg = _divisor_degree(b)
     if len(r) != m_deg:
         raise LengthMismatch(f"accumulator must have length {m_deg}")
     _check_disjoint(r, a, c, b)

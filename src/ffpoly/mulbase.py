@@ -27,8 +27,16 @@ class SingularDiagonal(ZeroDivisionError):
     """Triangular solve hit a zero diagonal entry."""
 
 
-class NonMonicLeadingZero(ZeroDivisionError):
-    """Polynomial remainder needs an invertible leading divisor coefficient."""
+class NonInvertibleLeading(ZeroDivisionError):
+    """The divisor's leading coefficient is zero (or the divisor is empty)."""
+
+
+def _divisor_degree(b: CoeffRegion) -> int:
+    """deg b, once b is checked to have a nonzero leading coefficient."""
+    m_deg = len(b) - 1
+    if m_deg < 0 or b[m_deg] == 0:
+        raise NonInvertibleLeading("divisor needs a nonzero leading coefficient")
+    return m_deg
 
 
 class MulStrategy:
@@ -178,29 +186,28 @@ def quad_rem(r: CoeffRegion, a: CoeffRegion, b: CoeffRegion) -> None:
     """r <- a mod b by long division; a and b are never written.
 
     r has length M = len(b)-1 and doubles as the working window.  The
-    division runs M quotient digits at a time, from a's top block (padded
-    with virtual zeros) down: back substitution turns the window into the
-    block's digits, and subtracting their multiple of b from the next
-    block of a leaves the next window.  Only the s <= M real coefficients
-    of the top block yield digits; the first sweep skips the zero digits
-    above them, so exactly N-M+1 digits are computed.
+    division runs M quotient digits at a time over the width-M blocks of
+    a, from the top block down: the top block, zero-extended, is the first
+    window; back substitution turns the window into the block's digits,
+    and subtracting their multiple of b from the next block of a leaves
+    the next window.  Only the s <= M coefficients of the top block yield
+    digits; the first sweep skips the zero digits above them, so exactly
+    N-M+1 digits are computed.
     """
-    mm = len(b) - 1
-    if mm < 0 or b[mm] == 0:
-        raise NonMonicLeadingZero("divisor needs a nonzero leading coefficient")
+    mm = _divisor_degree(b)
     if len(r) != mm:
         raise TargetTooShort(f"remainder window must have length {mm}")
     field = r.field
     nn = len(a) - 1
     if nn < mm:
-        vec_copy(r, a.sub_padded(0, mm))
+        vec_copy(r, a)
         return
     if mm == 0:
         return
     inv_bm = field.inv(b[mm])
     b0 = b[0]
     br = b.reversed()       # br[x] = b[M - x]
-    blocks = split_blocks(a, mm, pad_virtual=True)
+    blocks = split_blocks(a, mm)
     vec_copy(r, blocks[-1])
     s = blocks[-1].length                   # digits q_j, j >= s, of the first block are 0
     for block in reversed(blocks[:-1]):
@@ -227,9 +234,7 @@ def quad_rem_overplace(a: CoeffRegion, b: CoeffRegion) -> None:
     N-M+1 cells hold a div b, low degree first.  Each cell is settled by
     one dot product against the digits above it, top cell first.
     """
-    mm = len(b) - 1
-    if mm < 0 or b[mm] == 0:
-        raise NonMonicLeadingZero("divisor needs a nonzero leading coefficient")
+    mm = _divisor_degree(b)
     field = a.field
     nn = len(a) - 1
     if nn < mm:

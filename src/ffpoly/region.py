@@ -1,13 +1,13 @@
 """Coefficient buffers and the window views all operations work on.
 
 A `Buffer` owns a flat list of canonical residues.  A `CoeffRegion` is a
-unit-stride window over one buffer, forward or reversed, optionally
-extended by trailing *virtual zeros*: reads past the real data return 0,
-writes there are a contract violation.  A `SplitTarget` couples two
+unit-stride window over one buffer, forward or reversed, and holds
+exactly the coefficients it covers.  A `SplitTarget` couples two
 disjoint regions into one logical accumulation destination.
 
 None of the view operations copies coefficients; the only copying
-utilities are `snapshot` (test harness) and `vec_copy`.
+utilities are `snapshot` (test harness) and `vec_copy`, which is also the
+one place that zero-extends a shorter operand.
 
 This is the only module that knows how coefficients are stored.  Every
 arithmetic loop over storage is one of three strided kernels below --
@@ -28,7 +28,7 @@ class RestorationViolation(AssertionError):
 
 
 class VirtualWrite(ValueError):
-    """Attempted write into the virtual zero-padding of a region."""
+    """Kernel access outside a region's coefficients."""
 
 
 class AliasedOperands(ValueError):
@@ -74,74 +74,55 @@ class Buffer:
             stop = len(self.data)
         if not 0 <= start <= stop <= len(self.data):
             raise IndexError(f"window [{start}, {stop}) outside buffer of {len(self.data)}")
-        return CoeffRegion(self, start, stop - start, 1, 0)
+        return CoeffRegion(self, start, stop - start, 1)
 
     def __repr__(self):
         return f"Buffer(p={self.field.p}, {self.data!r})"
 
 
 class CoeffRegion:
-    """A window of `length` real coefficients plus `virtual` trailing zeros.
+    """A window of `length` coefficients of one buffer.
 
     `step` is +1 for forward views and -1 for reversed ones; `start` is the
     physical index of logical position 0.
     """
 
-    __slots__ = ("buf", "start", "length", "step", "virtual")
+    __slots__ = ("buf", "start", "length", "step")
 
-    def __init__(self, buf: Buffer, start: int, length: int, step: int, virtual: int):
+    def __init__(self, buf: Buffer, start: int, length: int, step: int):
         self.buf = buf
         self.start = start
         self.length = length
         self.step = step
-        self.virtual = virtual
 
     @property
     def field(self) -> Field:
         return self.buf.field
 
     def __len__(self):
-        return self.length + self.virtual
+        return self.length
 
     def __getitem__(self, k: int) -> int:
-        if k < 0 or k >= self.length + self.virtual:
+        if k < 0 or k >= self.length:
             raise IndexError(k)
-        if k >= self.length:
-            return 0
         return self.buf.data[self.start + k * self.step]
 
     def __setitem__(self, k: int, v: int):
-        if k < 0 or k >= self.length + self.virtual:
+        if k < 0 or k >= self.length:
             raise IndexError(k)
-        if k >= self.length:
-            raise VirtualWrite(f"write at virtual index {k} (real length {self.length})")
         self.buf.data[self.start + k * self.step] = self.buf.field.check(v)
 
     def sub(self, lo: int, hi: int) -> "CoeffRegion":
         """Logical sub-window [lo, hi); must lie inside the region."""
-        if not 0 <= lo <= hi <= self.length + self.virtual:
-            raise IndexError(f"sub-window [{lo}, {hi}) outside region of {len(self)}")
-        real_lo = min(lo, self.length)
-        real_hi = min(hi, self.length)
-        return CoeffRegion(self.buf, self.start + real_lo * self.step,
-                           real_hi - real_lo, self.step, (hi - lo) - (real_hi - real_lo))
-
-    def sub_padded(self, lo: int, hi: int) -> "CoeffRegion":
-        """Like `sub` but hi may overshoot; the excess becomes virtual zeros."""
-        if not 0 <= lo <= hi:
-            raise IndexError(f"bad sub-window [{lo}, {hi})")
-        real_lo = min(lo, self.length)
-        real_hi = min(max(hi, real_lo), self.length)
-        return CoeffRegion(self.buf, self.start + real_lo * self.step,
-                           real_hi - real_lo, self.step, (hi - lo) - (real_hi - real_lo))
+        if not 0 <= lo <= hi <= self.length:
+            raise IndexError(f"sub-window [{lo}, {hi}) outside region of {self.length}")
+        return CoeffRegion(self.buf, self.start + lo * self.step, hi - lo, self.step)
 
     def reversed(self) -> "CoeffRegion":
         """O(1) reversed view; composing twice yields the original window."""
-        if self.virtual:
-            raise VirtualWrite("cannot reverse a virtually padded region")
         n = self.length
         return CoeffRegion(self.buf, self.start + (n - 1) * self.step if n else self.start,
-                           n, -self.step, 0)
+                           n, -self.step)
 
     def to_list(self) -> list[int]:
         return [self[k] for k in range(len(self))]
@@ -154,8 +135,7 @@ class CoeffRegion:
         return lo_a < lo_b + other.length and lo_b < lo_a + self.length
 
     def __repr__(self):
-        return (f"CoeffRegion(start={self.start}, len={self.length}, step={self.step}"
-                + (f", virtual={self.virtual}" if self.virtual else "") + ")")
+        return f"CoeffRegion(start={self.start}, len={self.length}, step={self.step})"
 
 
 class SplitTarget:
@@ -203,26 +183,16 @@ def poly_region(field: Field, coeffs) -> CoeffRegion:
     return Buffer(field, coeffs).region()
 
 
-def split_blocks(r: CoeffRegion, block: int, pad_virtual: bool = False) -> list[CoeffRegion]:
-    """Tile a region into consecutive windows of width `block`.
+def split_blocks(r: CoeffRegion, block: int) -> list[CoeffRegion]:
+    """Tile a region exactly into consecutive windows of width `block`.
 
     The final window is short when the region length is not a multiple of
-    `block`; with `pad_virtual` it is instead reported at full width with
-    read-only virtual zeros, leaving the buffer untouched.
+    `block`.
     """
     if block < 1:
         raise ValueError("block width must be >= 1")
     n = len(r)
-    out = []
-    full, rem = divmod(n, block)
-    for i in range(full):
-        out.append(r.sub(i * block, (i + 1) * block))
-    if rem:
-        if pad_virtual:
-            out.append(r.sub_padded(full * block, full * block + block))
-        else:
-            out.append(r.sub(full * block, n))
-    return out
+    return [r.sub(lo, min(lo + block, n)) for lo in range(0, n, block)]
 
 
 def _check_disjoint(*regions: CoeffRegion) -> None:
@@ -265,8 +235,8 @@ def snapshot(*regions) -> Snapshot:
 # Strided kernels: the only loops over coefficient storage.  Each primitive
 # works on logical windows of regions, reduces once per output coefficient,
 # counts nothing and allocates nothing; the callers report their
-# structural operation counts in bulk.  A window that touches virtual
-# padding, or reaches past the real coefficients, raises `VirtualWrite`.
+# structural operation counts in bulk.  A window that reaches past a
+# region's coefficients raises `VirtualWrite`.
 
 def _mac(dst: CoeffRegion, k: int, s: int, t: int,
          a: CoeffRegion, i: int, b: CoeffRegion, j: int, n: int) -> None:
@@ -274,9 +244,9 @@ def _mac(dst: CoeffRegion, k: int, s: int, t: int,
 
     The sum is read before dst[k] is written, so dst may lie inside a or b.
     """
-    if (dst.virtual or a.virtual or b.virtual or k < 0 or i < 0 or j < 0
+    if (k < 0 or i < 0 or j < 0
             or k >= dst.length or i + n > a.length or j + n > b.length):
-        raise VirtualWrite("kernel access outside the real coefficients of a region")
+        raise VirtualWrite("kernel access outside a region's coefficients")
     da = a.buf.data
     sa = a.step
     ia = a.start + i * sa
@@ -295,9 +265,8 @@ def _mac(dst: CoeffRegion, k: int, s: int, t: int,
 
 def _axpy(dst: CoeffRegion, i: int, s: int, src: CoeffRegion, j: int, n: int) -> None:
     """dst[i+u] += s*src[j+u] for u < n; the windows must not overlap unless equal."""
-    if (dst.virtual or src.virtual or i < 0 or j < 0
-            or i + n > dst.length or j + n > src.length):
-        raise VirtualWrite("kernel access outside the real coefficients of a region")
+    if i < 0 or j < 0 or i + n > dst.length or j + n > src.length:
+        raise VirtualWrite("kernel access outside a region's coefficients")
     dd = dst.buf.data
     ds = dst.step
     di = dst.start + i * ds
@@ -313,8 +282,6 @@ def _axpy(dst: CoeffRegion, i: int, s: int, src: CoeffRegion, j: int, n: int) ->
 
 def _scale(dst: CoeffRegion, s: int) -> None:
     """dst *= s, element-wise."""
-    if dst.virtual:
-        raise VirtualWrite("kernel access to a virtually padded region")
     dd, ds, di = dst.buf.data, dst.step, dst.start
     p = dst.buf.field.p
     for _ in range(dst.length):
@@ -364,16 +331,19 @@ def vec_negate(dst: CoeffRegion) -> None:
 
 
 def vec_copy(dst: CoeffRegion, src: CoeffRegion) -> None:
-    """dst[k] = src[k]; src may carry virtual zeros.  Not a field operation."""
-    _check_pair(dst, src)
-    if dst.virtual:
-        raise VirtualWrite("kernel access to a virtually padded region")
+    """dst <- src zero-extended to len(dst); src may not be longer.
+
+    Data movement, not a field operation, so nothing is counted.
+    """
+    n = src.length
+    if n > dst.length:
+        raise ValueError(f"source of {n} does not fit a destination of {dst.length}")
     dd, ds, di = dst.buf.data, dst.step, dst.start
     sd, ss, si = src.buf.data, src.step, src.start
-    for _ in range(src.length):
+    for _ in range(n):
         dd[di] = sd[si]
         di += ds
         si += ss
-    for _ in range(src.virtual):
+    for _ in range(dst.length - n):
         dd[di] = 0
         di += ds

@@ -50,6 +50,17 @@ def test_quorem_writes_both_files(tmp_path):
     assert r == [1, 1]
 
 
+def test_quorem_remainder_matches_rem_below_the_divisor_degree(tmp_path):
+    b = poly_file(tmp_path / "B.poly", 7, [1, 0, 0, 1])
+    for coeffs in ([], [1, 2], [1, 2, 3]):
+        a = poly_file(tmp_path / "A.poly", 7, coeffs)
+        rem_out, quo_out = tmp_path / "rem.poly", tmp_path / "quo.poly"
+        assert main(["rem", a, b, "--out", str(rem_out)]) == 0
+        assert main(["quorem", a, b, "--out", str(quo_out)]) == 0
+        assert quo_out.read_bytes() == rem_out.read_bytes()
+        assert read_poly(str(rem_out)) == (7, coeffs + [0] * (3 - len(coeffs)))
+
+
 def test_aper_accumulates(tmp_path, capsys):
     r = poly_file(tmp_path / "r.poly", 7, [1, 0])
     a = poly_file(tmp_path / "a.poly", 7, [1, 2, 0, 1])

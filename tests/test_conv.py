@@ -13,13 +13,12 @@ from ffpoly import (
     conv_even_f,
     conv_odd_f,
     measure,
-    plan_convolution,
     poly_region,
     short_acc,
     short_acc_ragged,
     snapshot,
 )
-from ffpoly.conv import _apply_bilinear_step
+from ffpoly.conv import _apply_bilinear_step, _scaling_pair
 from ffpoly.reference import ref_convolution, ref_mul
 
 from conftest import FIELD_PRIMES, field, rand_coeffs, region_of
@@ -126,30 +125,26 @@ def test_dispatcher_routing(monkeypatch):
     f5 = field(5)
     for n, f, route in ((8, 0, "short"), (7, 2, "odd"), (7, 1, "odd"),
                         (8, 1, "even_one"), (8, 3, "even_general")):
-        assert plan_convolution(f5, n, f).route == route
         conv_acc(region_of(5, [0] * n), region_of(5, [1] * n), region_of(5, [2] * n), f)
         assert seen.pop() == route
     # the truncated product is two wrapped ones, mod X^n - 1 and mod X^n - g
     short_acc(region_of(5, [0] * 32), region_of(5, [1] * 32), region_of(5, [2] * 32))
     assert seen == ["even_one", "even_general"]
-    plan = plan_convolution(f5, 4, 0)
-    assert plan.lam == 2 and plan.g == 2
-    assert plan_convolution(field(2), 4, 0).lam is None
     with pytest.raises(BadParameter):
-        plan_convolution(f5, 0, 0)
-    with pytest.raises(BadParameter):
-        plan_convolution(f5, 4, 5)
+        conv_acc(region_of(5, []), region_of(5, []), region_of(5, []), 0)
     with pytest.raises(BadParameter):
         conv_acc(region_of(5, [0] * 4), region_of(5, [1] * 4), region_of(5, [2] * 4), 5)
 
 
 def test_truncation_scaling_pair_always_usable():
+    assert _scaling_pair(field(5)) == (2, 2)
+    assert _scaling_pair(field(2)) == (None, None)
     for p in FIELD_PRIMES:
         if p == 2:
             continue
-        plan = plan_convolution(field(p), 4, 0)
-        assert plan.lam not in (0, 1)
-        assert plan.g not in (0, 1)
+        lam, g = _scaling_pair(field(p))
+        assert lam not in (0, 1)
+        assert g not in (0, 1)
 
 
 def test_domain_errors():

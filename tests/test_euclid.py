@@ -204,19 +204,36 @@ def test_accumulating_remainder_fuzz():
 
 
 def test_context_geometry():
-    # padded mode covers everything with virtual zeros on top
+    # exact tiling: a partial top block of width s
     a = region_of(7, list(range(7)))
     b = region_of(7, [1, 2, 3, 1])
-    ctx = euclid_context(a, b, exact=False)
-    assert ctx.m_deg == 3 and ctx.n == 4 and ctx.mu == 2
-    assert [blk.to_list() for blk in ctx.blocks] == [[0, 1, 2], [3, 4, 5], [6, 0, 0]]
+    ctx = euclid_context(a, b)
+    assert ctx.m_deg == 3 and ctx.s == 1 and ctx.mu == 2
+    assert [blk.to_list() for blk in ctx.blocks] == [[0, 1, 2], [3, 4, 5], [6]]
     assert ctx.t_row.to_list() == [1, 3, 2]
     assert ctx.g_low.to_list() == [1, 2, 3]
-    # exact mode: partial top block of width s
-    ctx = euclid_context(a, b, exact=True)
-    assert ctx.s == 1 and ctx.mu == 2
-    assert [blk.to_list() for blk in ctx.blocks] == [[0, 1, 2], [3, 4, 5], [6]]
     assert ctx.t1_row.to_list() == [1]
+
+
+@pytest.mark.parametrize("p", [2, 65521])
+def test_short_top_block_is_zero_extended(p):
+    # The top block of a is copied into a dirty r and zero-extended there;
+    # a tail left unzeroed would survive into the remainder.
+    rng = random.Random(p)
+    for m in (1, 2, 3, 5):
+        b = rand_monic_tail(rng, p, m)
+        for n in sorted({0, 1, m - 1, m, m + 1, 2 * m, 2 * m + 1}):
+            a = rand_coeffs(rng, p, n)
+            want = ref_rem(a, b, p) if n > m else a + [0] * (m - n)
+            for run in (remainder_in_place,
+                        lambda r, ra, rb: remainder_blockwise(
+                            r, ra, rb, region_of(p, rand_monic_tail(rng, p, m - 1))),
+                        quad_rem):
+                r = region_of(p, [rng.randrange(1, p) for _ in range(m)])
+                ra, rb = region_of(p, a), region_of(p, b)
+                run(r, ra, rb)
+                assert r.to_list() == want, (p, m, n)
+                assert ra.to_list() == a and rb.to_list() == b
 
 
 def test_leading_zero_divisor_rejected():

@@ -4,7 +4,7 @@ import pytest
 
 from ffpoly import (
     Buffer,
-    NonMonicLeadingZero,
+    NonInvertibleLeading,
     Schoolbook,
     SingularDiagonal,
     SplitTarget,
@@ -248,10 +248,10 @@ def test_quad_rem_overplace_layout():
 
 
 def test_quad_rem_rejects_zero_leading():
-    with pytest.raises(NonMonicLeadingZero):
+    with pytest.raises(NonInvertibleLeading):
         quad_rem(Buffer.zeros(field(5), 1).region(), region_of(5, [1, 1]),
                  region_of(5, [1, 0]))
-    with pytest.raises(NonMonicLeadingZero):
+    with pytest.raises(NonInvertibleLeading):
         quad_rem_overplace(region_of(5, [1, 1]), region_of(5, []))
 
 

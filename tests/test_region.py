@@ -50,25 +50,6 @@ def test_split_blocks_exact_tiling():
     assert [b.to_list() for b in blocks] == [[1, 2], [3, 4]]
 
 
-def test_split_blocks_virtual_padding():
-    r = poly_region(field(5), [1, 2, 3])
-    blocks = split_blocks(r, 2, pad_virtual=True)
-    assert [b.to_list() for b in blocks] == [[1, 2], [3, 0]]
-    last = blocks[-1]
-    assert last[1] == 0
-    with pytest.raises(VirtualWrite):
-        last[1] = 4
-    # the buffer itself was never touched
-    assert r.to_list() == [1, 2, 3]
-
-
-def test_split_blocks_single_padded_block():
-    r = poly_region(field(5), [1, 2, 3])
-    blocks = split_blocks(r, 5, pad_virtual=True)
-    assert len(blocks) == 1
-    assert blocks[0].to_list() == [1, 2, 3, 0, 0]
-
-
 def test_split_blocks_short_tail_without_padding():
     r = poly_region(field(5), [1, 2, 3])
     blocks = split_blocks(r, 2)
@@ -149,7 +130,7 @@ def test_view_operations_do_not_allocate():
     r = poly_region(f, list(range(7)))
     with measure(f, max_aux=0):
         r.sub(1, 5).reversed()
-        split_blocks(r, 3, pad_virtual=True)
+        split_blocks(r, 3)
         vec_iadd(r.sub(0, 3), r.sub(3, 6))
         vec_scale(r, 2)
         vec_negate(r)
@@ -176,12 +157,24 @@ def test_vec_kernels_match_field_semantics():
     assert out.to_list() == dst.to_list()
 
 
-def test_vec_copy_reads_virtual_zeros():
+def test_vec_copy_zero_extends_a_shorter_source():
     f = field(13)
-    src = poly_region(f, [4, 5]).sub_padded(0, 4)
+    src = poly_region(f, [4, 5])
     dst = poly_region(f, [9, 9, 9, 9])
-    vec_copy(dst, src)
-    assert dst.to_list() == [4, 5, 0, 0]
+    with measure(f) as scope:
+        vec_copy(dst, src)
+        vec_copy(dst.reversed().sub(0, 3), src.sub(0, 0))
+    assert dst.to_list() == [4, 0, 0, 0]
+    assert scope.counter.total == 0
+    assert src.to_list() == [4, 5]
+
+
+def test_vec_copy_rejects_a_longer_source():
+    f = field(13)
+    dst = poly_region(f, [9, 9])
+    with pytest.raises(ValueError):
+        vec_copy(dst, poly_region(f, [1, 2, 3]))
+    assert dst.to_list() == [9, 9]
 
 
 def test_vec_copy_onto_itself_is_a_copy():
@@ -192,8 +185,6 @@ def test_vec_copy_onto_itself_is_a_copy():
     rev = r.reversed()
     vec_copy(rev, rev)
     assert r.to_list() == [4, 5, 6]
-    with pytest.raises(VirtualWrite):
-        vec_copy(r.sub(0, 2).sub_padded(0, 3), r)
 
 
 def test_out_of_range_indexing():
@@ -281,11 +272,6 @@ def test_strided_kernels_match_list_formulas(p):
 def test_strided_kernels_stay_on_real_coefficients():
     f = field(7)
     r = poly_region(f, [1, 2, 3, 4])
-    padded = r.sub(0, 2).sub_padded(0, 3)
-    with pytest.raises(VirtualWrite):
-        _mac(padded, 0, 1, 1, r, 0, r, 0, 1)
-    with pytest.raises(VirtualWrite):
-        _mac(r, 0, 1, 1, padded, 0, r, 0, 1)
     with pytest.raises(VirtualWrite):
         _mac(r, 4, 1, 1, r, 0, r, 0, 1)
     with pytest.raises(VirtualWrite):
@@ -295,9 +281,7 @@ def test_strided_kernels_stay_on_real_coefficients():
     with pytest.raises(VirtualWrite):
         _axpy(r.sub(0, 2), 1, 1, r, 0, 2)
     with pytest.raises(VirtualWrite):
-        _axpy(r, 0, 1, padded, 0, 1)
-    with pytest.raises(VirtualWrite):
-        _scale(padded, 2)
+        _axpy(r, 0, 1, r.sub(0, 2), 1, 2)
     assert r.to_list() == [1, 2, 3, 4]
 
 
