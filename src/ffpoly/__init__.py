@@ -30,7 +30,6 @@ from .mulbase import (
 )
 from .conv import (
     BadParameter,
-    F2_SHORT_SCHEDULE,
     LengthMismatch,
     conv_acc,
     conv_even_1,
@@ -75,8 +74,8 @@ __all__ = [
     "TargetTooShort", "acc_mul_full", "acc_mul_short", "default_strategy", "quad_rem",
     "quad_rem_overplace", "quad_tri_mul_overplace", "quad_tri_solve_overplace",
     # conv
-    "BadParameter", "F2_SHORT_SCHEDULE", "LengthMismatch", "conv_acc", "conv_even_1",
-    "conv_even_f", "conv_odd_f", "short_acc", "short_acc_ragged",
+    "BadParameter", "LengthMismatch", "conv_acc", "conv_even_1", "conv_even_f",
+    "conv_odd_f", "short_acc", "short_acc_ragged",
     # toeplitz
     "CirculantView", "ToeplitzView", "banded_upper_mul_overplace",
     "banded_upper_solve_overplace", "circulant_acc", "rect_toeplitz_acc",

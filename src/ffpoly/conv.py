@@ -7,15 +7,15 @@ One entry point, `conv_acc`, routes on (f, parity of n):
   f = 1        -> `conv_even_1`;
   otherwise    -> `conv_even_f`.
 
-Each variant splits its operands in halves (or thirds) and reduces to a
-constant number of full accumulating multiplications plus a linear number
-of scalar operations.  Operands are freely mutated during a call but are
-always restored exactly; only c changes value.
+Each wrapped variant (f != 0) splits its operands in halves and reduces
+to a constant number of full accumulating multiplications plus a linear
+number of scalar operations; its operands are freely mutated during a
+call but are always restored exactly.  The truncated product splits in
+halves too, into one full product and two half-length truncated ones, and
+writes nothing but c.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .instrument import tracked
 from .mulbase import MulStrategy, _resolve, acc_mul_full
@@ -29,23 +29,6 @@ class LengthMismatch(ValueError):
 
 class BadParameter(ValueError):
     """Parameter outside a variant's domain (parity, f value, n = 0)."""
-
-
-def _route(n: int, f: int) -> str:
-    """The variant computing c += a*b mod (X^n - f); the one routing decision."""
-    if f == 0:
-        return "short"
-    if n % 2 == 1:
-        return "odd"
-    return "even_one" if f == 1 else "even_general"
-
-
-def _scaling_pair(field):
-    """(lambda, g = lambda/(lambda - 1)) for the truncated product; None over GF(2)."""
-    if not field.has_element_outside_01:
-        return None, None
-    lam = 2
-    return lam, field.mul(lam, field.inv(lam - 1))
 
 
 def _check_f(field, f: int) -> None:
@@ -186,103 +169,36 @@ def conv_odd_f(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, f: int,
     vec_scale(wrap, f)
 
 
-# The truncated-product schedule over GF(2), on thirds.  Each record is
-# (a_adds, a_block, b_adds, b_block, rows, couple): apply the listed block
-# additions to the operands, accumulate the full product of the named
-# blocks onto a row pair (the truncated one onto a single row), undo the
-# additions.  When `couple` is set the row pair is conjugated by the
-# self-inverse transform (x, y) -> (x, x + y) on both sides of the
-# accumulation.
-@dataclass(frozen=True)
-class BilinearStep:
-    a_adds: tuple
-    a_block: int
-    b_adds: tuple
-    b_block: int
-    rows: tuple
-    couple: bool
-
-
-F2_SHORT_SCHEDULE = (
-    BilinearStep((), 0, (), 0, (0, 1), False),
-    BilinearStep(((0, 1), (0, 2)), 0, ((0, 1), (0, 2)), 0, (1, 2), True),
-    BilinearStep((), 2, (), 2, (1, 2), False),
-    BilinearStep(((0, 2),), 0, ((0, 2),), 0, (1, 2), True),
-    BilinearStep(((1, 2),), 1, ((1, 2),), 1, (1, 2), True),
-    BilinearStep(((1, 2),), 1, ((0, 1),), 0, (2,), False),
-    BilinearStep(((0, 2),), 0, ((1, 2),), 1, (2,), False),
-)
-
-
-def _apply_bilinear_step(step: BilinearStep, cb, ab, bb, negate, strategy):
-    for d, s in step.a_adds:
-        vec_iadd(ab[d], ab[s])
-    for d, s in step.b_adds:
-        vec_iadd(bb[d], bb[s])
-    if len(step.rows) == 1:
-        short_acc(cb[step.rows[0]], ab[step.a_block], bb[step.b_block], negate, strategy)
-    else:
-        ci, cj = cb[step.rows[0]], cb[step.rows[1]]
-        if step.couple:
-            vec_iadd(cj, ci)
-        acc_mul_full(SplitTarget(ci, cj), ab[step.a_block], bb[step.b_block],
-                     negate=negate, strategy=strategy)
-        if step.couple:
-            vec_iadd(cj, ci)
-    for d, s in reversed(step.b_adds):
-        vec_iadd(bb[d], bb[s], negate=True)
-    for d, s in reversed(step.a_adds):
-        vec_iadd(ab[d], ab[s], negate=True)
-
-
-def _scalar_tail(c, a, b, k, negate):
-    """c[k] += sum_{i=0..k} a[i]*b[k-i], one scalar accumulation sweep."""
-    _mac(c, k, 1, -1 if negate else 1, a, 0, b.reversed(), len(b) - 1 - k, k + 1)
-    scope = c.field.scope
-    if scope is not None:
-        scope.count(adds=k + 1, muls=k + 1)
-
-
 @tracked
 def short_acc(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion,
               negate: bool = False, strategy: MulStrategy | None = None) -> None:
     """c += a*b mod X^n, the truncated (0-convolution) product.
 
-    Fields with an element lambda outside {0, 1} use two wrapped
-    convolutions whose quotient contributions cancel: scale a by lambda,
-    accumulate mod (X^n - 1), rescale a to (1 - lambda) of its original,
-    accumulate mod (X^n - g) with g = lambda/(lambda - 1), restore a.
+    Above the threshold the operands split in halves, t = ceil(n/2) and
+    h = floor(n/2): the full product of the low halves a[0:t]*b[0:t]
+    lands on c[0:2t-1], and the two cross terms that reach below X^n,
+    a[0:h]*b[t:n] and a[t:n]*b[0:h], are truncated products onto c[t:n].
+    Only c is written and no field element outside {0, 1} is used, so one
+    path serves every field, GF(2) included.
 
-    Over GF(2) the operands split in thirds: `F2_SHORT_SCHEDULE` applies
-    five full products through self-inverse row couplings and two recursive
-    truncated products, and up to two scalar sweeps cover the rest.
+    Cost S(n) = M(t) + 2*S(h): exactly n(n+1)/2 muls and adds under
+    `Schoolbook`, and O(M(n)) whenever M(n) = Theta(n^(1+eps)).  For a
+    quasi-linear M (an NTT strategy) the split costs M(n)*log n; there,
+    two wrapped convolutions whose quotient parts cancel (lambda*a mod
+    X^n - 1 and (1 - lambda)*a mod X^n - lambda/(lambda - 1)) cost O(M(n))
+    and would be the right route again.
     """
     strategy = _resolve(strategy)
     n = _check_triple(c, a, b)
-    field = c.field
     if n <= strategy.threshold:
         strategy.acc_mul_short(c, a, b, n, negate)
         return
-    if field.has_element_outside_01:
-        lam, g = _scaling_pair(field)
-        one_minus_lam = field.sub(1, lam)
-        vec_scale(a, lam)
-        _convolve(c, a, b, 1, negate, strategy)
-        vec_scale(a, field.mul(one_minus_lam, field.inv(lam)))
-        _convolve(c, a, b, g, negate, strategy)
-        vec_scale(a, field.inv(one_minus_lam))
-        return
-    t = n // 3
-    if t:
-        ab = (a.sub(0, t), a.sub(t, 2 * t), a.sub(2 * t, 3 * t))
-        bb = (b.sub(0, t), b.sub(t, 2 * t), b.sub(2 * t, 3 * t))
-        cb = (c.sub(0, t), c.sub(t, 2 * t), c.sub(2 * t, 3 * t))
-        for step in F2_SHORT_SCHEDULE:
-            _apply_bilinear_step(step, cb, ab, bb, negate, strategy)
-    if n >= 3 * t + 1:
-        _scalar_tail(c, a, b, 3 * t, negate)
-    if n == 3 * t + 2:
-        _scalar_tail(c, a, b, 3 * t + 1, negate)
+    h = n // 2
+    t = n - h
+    acc_mul_full(c.sub(0, 2 * t - 1), a.sub(0, t), b.sub(0, t), negate=negate,
+                 strategy=strategy)
+    short_acc(c.sub(t, n), a.sub(0, h), b.sub(t, n), negate, strategy)
+    short_acc(c.sub(t, n), a.sub(t, n), b.sub(0, h), negate, strategy)
 
 
 @tracked
@@ -331,24 +247,18 @@ def conv_acc(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, f: int,
              negate: bool = False, strategy: MulStrategy | None = None) -> None:
     """c += a*b mod (X^n - f); dispatcher over all (n, f) cases.
 
-    a and b are temporarily mutated but restored exactly; c gains the
+    a and b may be temporarily mutated but are restored exactly; c gains the
     wrapped product (or loses it, when negate is set).  The three regions
     must be disjoint.
     """
-    _check_triple(c, a, b)
+    n = _check_triple(c, a, b)
     _check_f(c.field, f)
     _check_disjoint(c, a, b)
-    _convolve(c, a, b, f, negate, strategy)
-
-
-def _convolve(c, a, b, f, negate, strategy):
-    """c += a*b mod (X^n - f) through the variant `_route` picks."""
-    route = _route(len(c), f)
-    if route == "short":
+    if f == 0:
         short_acc(c, a, b, negate, strategy)
-    elif route == "odd":
+    elif n % 2:
         conv_odd_f(c, a, b, f, negate, strategy)
-    elif route == "even_one":
+    elif f == 1:
         conv_even_1(c, a, b, negate, strategy)
     else:
         conv_even_f(c, a, b, f, negate, strategy)

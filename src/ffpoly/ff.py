@@ -84,11 +84,6 @@ class Field:
     def __repr__(self):
         return f"Field({self.p})"
 
-    @property
-    def has_element_outside_01(self) -> bool:
-        """True iff the field has an element other than 0 and 1."""
-        return self.p > 2
-
     def check(self, x: int) -> int:
         """Validate that x is a canonical residue; returns x."""
         if not isinstance(x, int) or not 0 <= x < self.p:

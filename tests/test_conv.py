@@ -5,7 +5,7 @@ import pytest
 from ffpoly import (
     AliasedOperands,
     BadParameter,
-    F2_SHORT_SCHEDULE,
+    GuardViolation,
     LengthMismatch,
     Schoolbook,
     conv_acc,
@@ -18,7 +18,6 @@ from ffpoly import (
     short_acc_ragged,
     snapshot,
 )
-from ffpoly.conv import _apply_bilinear_step, _scaling_pair
 from ffpoly.reference import ref_convolution, ref_mul
 
 from conftest import FIELD_PRIMES, field, rand_coeffs, region_of
@@ -108,43 +107,34 @@ def test_short_examples():
     got, want = _conv_case(2, [1, 1, 1], [1, 0, 1], [0, 0, 0], 0, 1, fn=short_acc)
     assert got == want == [1, 1, 0]
     rng = random.Random(11)
-    for n in (6, 7, 8):   # n mod 3 covers 0, 1, 2: both scalar tails
+    for n in (6, 7, 8):   # at threshold 2: even and odd halves at each level
         a, b, c = (rand_coeffs(rng, 2, n) for _ in range(3))
         got, want = _conv_case(2, a, b, c, 0, 2, fn=short_acc)
         assert got == want
 
 
 def test_dispatcher_routing(monkeypatch):
-    # conv_acc and short_acc reach the variants through `conv._convolve`;
-    # record which one it runs.
+    # conv_acc reaches the variants through the module's names; record
+    # which one it runs.
     from ffpoly import conv
     seen = []
     for route, name in (("short", "short_acc"), ("odd", "conv_odd_f"),
-                        ("even_one", "conv_even_1"), ("even_general", "conv_even_f")):
+                        ("even_one", "conv_even_1"), ("even_general", "conv_even_f"),
+                        ("full", "acc_mul_full")):
         monkeypatch.setattr(conv, name, lambda *args, route=route, **kw: seen.append(route))
     f5 = field(5)
     for n, f, route in ((8, 0, "short"), (7, 2, "odd"), (7, 1, "odd"),
                         (8, 1, "even_one"), (8, 3, "even_general")):
         conv_acc(region_of(5, [0] * n), region_of(5, [1] * n), region_of(5, [2] * n), f)
         assert seen.pop() == route
-    # the truncated product is two wrapped ones, mod X^n - 1 and mod X^n - g
+    # above the threshold the truncated product is one full product of the
+    # low halves and two half-length truncated ones; no wrapped variant runs
     short_acc(region_of(5, [0] * 32), region_of(5, [1] * 32), region_of(5, [2] * 32))
-    assert seen == ["even_one", "even_general"]
+    assert seen == ["full", "short", "short"]
     with pytest.raises(BadParameter):
         conv_acc(region_of(5, []), region_of(5, []), region_of(5, []), 0)
     with pytest.raises(BadParameter):
         conv_acc(region_of(5, [0] * 4), region_of(5, [1] * 4), region_of(5, [2] * 4), 5)
-
-
-def test_truncation_scaling_pair_always_usable():
-    assert _scaling_pair(field(5)) == (2, 2)
-    assert _scaling_pair(field(2)) == (None, None)
-    for p in FIELD_PRIMES:
-        if p == 2:
-            continue
-        lam, g = _scaling_pair(field(p))
-        assert lam not in (0, 1)
-        assert g not in (0, 1)
 
 
 def test_domain_errors():
@@ -216,7 +206,7 @@ def test_exhaustive_small_sweep_over_f5():
 
 
 def test_exhaustive_small_sweep_over_gf2():
-    # the three-way split runs at every length and both tail shapes
+    # the half split runs at every length, through odd and even halves
     rng = random.Random(0xE2)
     for n in range(1, 41):
         for f in (0, 1):
@@ -226,68 +216,42 @@ def test_exhaustive_small_sweep_over_gf2():
                 assert got == want, (n, f)
 
 
-def test_bilinear_schedule_self_inverse():
-    # pre- then post-transform with zero products is the identity on c
-    rng = random.Random(40)
-    t = 5
-    for step in F2_SHORT_SCHEDULE:
-        c0 = rand_coeffs(rng, 2, 3 * t)
-        a0 = rand_coeffs(rng, 2, 3 * t)
-        b0 = rand_coeffs(rng, 2, 3 * t)
-        rc, ra, rb = (region_of(2, x) for x in (c0, a0, b0))
-        cb = tuple(rc.sub(i * t, (i + 1) * t) for i in range(3))
-        ab = tuple(ra.sub(i * t, (i + 1) * t) for i in range(3))
-        bb = tuple(rb.sub(i * t, (i + 1) * t) for i in range(3))
-        zero = region_of(2, [0] * t)
-        _apply_bilinear_step(
-            type(step)(step.a_adds, step.a_block, step.b_adds, step.b_block,
-                       step.rows, step.couple), cb, ab, bb, False, Schoolbook(16))
-        # replace the product by zero: rerun with zeroed operand
-        rc2 = region_of(2, c0)
-        cb2 = tuple(rc2.sub(i * t, (i + 1) * t) for i in range(3))
-        zb = tuple(region_of(2, [0] * t) for _ in range(3))
-        _apply_bilinear_step(step, cb2, zb, zb, False, Schoolbook(16))
-        assert rc2.to_list() == c0
-        assert ra.to_list() == a0 and rb.to_list() == b0
+def test_short_acc_costs_a_triangle_of_products():
+    # S(n) = M(ceil(n/2)) + 2 S(floor(n/2)) sums to the n(n+1)/2 pairs
+    # i + j < n under Schoolbook, at every threshold
+    rng = random.Random(0x5A)
+    for p in (2, 65521):
+        f = field(p)
+        for thr in (1, 4, 16):
+            for n in range(1, 81):
+                a, b, c = (poly_region(f, rand_coeffs(rng, p, n)) for _ in range(3))
+                with measure(f) as sc:
+                    short_acc(c, a, b, strategy=Schoolbook(thr))
+                pairs = n * (n + 1) // 2
+                assert (sc.adds, sc.muls, sc.divs) == (pairs, pairs, 0), (p, thr, n)
 
 
-def test_bilinear_step_net_effect():
-    # one record adds exactly (rows coupling matrix) . (product halves), or
-    # the low half alone when it names a single row
-    rng = random.Random(41)
-    t = 4
-    for step in F2_SHORT_SCHEDULE:
-        a0 = rand_coeffs(rng, 2, 3 * t)
-        b0 = rand_coeffs(rng, 2, 3 * t)
-        c0 = rand_coeffs(rng, 2, 3 * t)
-        ra, rb, rc = (region_of(2, x) for x in (a0, b0, c0))
-        ab = tuple(ra.sub(i * t, (i + 1) * t) for i in range(3))
-        bb = tuple(rb.sub(i * t, (i + 1) * t) for i in range(3))
-        cb = tuple(rc.sub(i * t, (i + 1) * t) for i in range(3))
-        _apply_bilinear_step(step, cb, ab, bb, False, Schoolbook(16))
-        # oracle: build the combined operands, multiply, couple rows
-        def combined(blocks, adds, which):
-            out = [list(blocks[i * t:(i + 1) * t]) for i in range(3)]
-            for d, s in adds:
-                out[d] = [(x + y) % 2 for x, y in zip(out[d], out[s])]
-            return out[which]
-        pa = combined(a0, step.a_adds, step.a_block)
-        pb = combined(b0, step.b_adds, step.b_block)
-        prod = ref_mul(pa, pb, 2) + [0] * (2 * t)
-        rho = [prod[:t], prod[t:2 * t - 1] + [0]]
-        i, j = step.rows[0], step.rows[-1]
-        want = [list(c0[k * t:(k + 1) * t]) for k in range(3)]
-        if len(step.rows) == 1:
-            # a single row gains the truncated product pa*pb mod X^t
-            want[i] = [(x + r0) % 2 for x, r0 in zip(want[i], rho[0])]
-        elif step.couple:
-            # (ci; cj) += [[1,0],[1,1]] . (rho0; rho1)
-            want[i] = [(x + r0) % 2 for x, r0 in zip(want[i], rho[0])]
-            want[j] = [(x + r0 + r1) % 2 for x, r0, r1 in zip(want[j], rho[0], rho[1])]
-        else:
-            want[i] = [(x + r0) % 2 for x, r0 in zip(want[i], rho[0])]
-            want[j] = [(x + r1) % 2 for x, r1 in zip(want[j], rho[1])]
-        assert rc.to_list() == [v for blk in want for v in blk]
+def test_truncated_product_leaves_operands_when_the_depth_guard_raises():
+    # the split writes only c, so a guard that stops it at any depth
+    # leaves a and b bit-identical
+    rng = random.Random(0x64)
+    n = 64
+    for p in (2, 65521):
+        f = field(p)
+        raised = 0
+        for k in range(1, 64):
+            a0, b0 = rand_coeffs(rng, p, n), rand_coeffs(rng, p, n)
+            a, b = poly_region(f, a0), poly_region(f, b0)
+            c = poly_region(f, rand_coeffs(rng, p, n))
+            try:
+                with measure(f, max_depth=k):
+                    conv_acc(c, a, b, 0)
+            except GuardViolation:
+                raised += 1
+                assert a.to_list() == a0 and b.to_list() == b0, (p, k)
+            else:
+                break
+        assert raised >= 2, p
 
 
 def test_short_acc_ragged_matches_truncated_product():

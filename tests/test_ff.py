@@ -39,11 +39,6 @@ def test_worked_examples():
         field(5).div(2, 0)
 
 
-def test_element_outside_01():
-    for p in FIELD_PRIMES:
-        assert field(p).has_element_outside_01 == (p > 2)
-
-
 def test_ring_identities_bulk():
     # 10^4 random triples per field: associativity, commutativity,
     # distributivity, neg/sub coherence.
