@@ -32,9 +32,8 @@ from .conv import (
     BadParameter,
     LengthMismatch,
     conv_acc,
-    conv_even_1,
     conv_even_f,
-    conv_odd_f,
+    conv_split_f,
     short_acc,
     short_acc_ragged,
 )
@@ -50,10 +49,8 @@ from .toeplitz import (
     tri_toeplitz_solve_overplace,
 )
 from .euclid import (
-    EuclidContext,
     divmod_over_place,
     divmod_over_place_inv,
-    euclid_context,
     remainder_acc,
     remainder_blockwise,
     remainder_in_place,
@@ -74,15 +71,15 @@ __all__ = [
     "TargetTooShort", "acc_mul_full", "acc_mul_short", "default_strategy", "quad_rem",
     "quad_rem_overplace", "quad_tri_mul_overplace", "quad_tri_solve_overplace",
     # conv
-    "BadParameter", "LengthMismatch", "conv_acc", "conv_even_1", "conv_even_f",
-    "conv_odd_f", "short_acc", "short_acc_ragged",
+    "BadParameter", "LengthMismatch", "conv_acc", "conv_even_f", "conv_split_f",
+    "short_acc", "short_acc_ragged",
     # toeplitz
     "CirculantView", "ToeplitzView", "banded_upper_mul_overplace",
     "banded_upper_solve_overplace", "circulant_acc", "rect_toeplitz_acc",
     "square_toeplitz_acc", "tri_toeplitz_mul_overplace", "tri_toeplitz_solve_overplace",
     # euclid
-    "EuclidContext", "divmod_over_place", "divmod_over_place_inv",
-    "euclid_context", "remainder_acc", "remainder_blockwise", "remainder_in_place",
+    "divmod_over_place", "divmod_over_place_inv", "remainder_acc",
+    "remainder_blockwise", "remainder_in_place",
     # modmul
     "DegreeConstraint", "MulmodBlocks", "mulmod_acc", "mulmod_acc_full", "mulmod_blocks",
 ]

@@ -117,20 +117,11 @@ def cmd_quorem(args) -> int:
     return 0
 
 
-def _divisor_len(b: list[int]) -> int:
-    if not b or b[-1] == 0:
-        raise CliPreconditionError("divisor needs a nonzero leading coefficient")
-    return len(b) - 1
-
-
 def cmd_aper(args) -> int:
     pr, r0 = read_poly(args.r)
     pa, a = read_poly(args.a)
     pb, b = read_poly(args.b)
     field = _field_for(args, [pr, pa, pb])
-    m = _divisor_len(b)
-    if len(r0) != m:
-        raise CliPreconditionError(f"accumulator must have {m} coefficients, got {len(r0)}")
     rr = poly_region(field, r0)
     remainder_acc(rr, poly_region(field, a), poly_region(field, b))
     write_poly(args.out, field.p, rr.to_list())
@@ -142,16 +133,11 @@ def cmd_mulmod(args) -> int:
     pc, c = read_poly(args.c)
     pb, b = read_poly(args.b)
     moduli = [pa, pc, pb]
-    r0 = None
+    r0 = [0] * (len(b) - 1)
     if args.acc:
         pr, r0 = read_poly(args.acc)
         moduli.append(pr)
     field = _field_for(args, moduli)
-    m = _divisor_len(b)
-    if r0 is None:
-        r0 = [0] * m
-    if len(r0) != m:
-        raise CliPreconditionError(f"accumulator must have {m} coefficients, got {len(r0)}")
     rr = poly_region(field, r0)
     mulmod_acc_full(rr, poly_region(field, a), poly_region(field, c),
                     poly_region(field, b))
@@ -164,11 +150,8 @@ def cmd_conv(args) -> int:
     pb, b = read_poly(args.b)
     pc, c = read_poly(args.c)
     field = _field_for(args, [pa, pb, pc])
-    f = args.f
-    if not 0 <= f < field.p:
-        raise CliPreconditionError(f"--f must be a canonical residue mod {field.p}: {f}")
     rc = poly_region(field, c)
-    conv_acc(rc, poly_region(field, a), poly_region(field, b), f)
+    conv_acc(rc, poly_region(field, a), poly_region(field, b), args.f)
     write_poly(args.out, field.p, rc.to_list())
     return 0
 

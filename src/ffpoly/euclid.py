@@ -10,9 +10,10 @@ Toeplitz structure built from two M x M blocks of b:
 A Horner sweep r <- (-G T^{-1}) r + a_i over the blocks of a, from the
 top block down, leaves exactly the remainder, so the quotient is
 overwritten block by block and never stored.  Every entry point tiles a
-exactly (`euclid_context`): only the top block can be shorter than M, and
-the sweeps that start in r zero-extend it once, when `vec_copy` puts it
-there.
+exactly: only the top block can be shorter than M.  The sweeps that start
+in r zero-extend it once, when `vec_copy` puts it there; the over-place
+sweeps give it the leading corner of T and the left columns of G, so one
+loop serves every block.
 
 `remainder_blockwise` runs that sweep with read-only inputs and one
 caller-provided M-element scratch vector.  `remainder_in_place` replaces
@@ -28,51 +29,30 @@ over-place an upper triangular product on reversed views of y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .conv import LengthMismatch, short_acc
+from .conv import LengthMismatch, short_acc_ragged
 from .instrument import tracked
 from .mulbase import MulStrategy, _divisor_degree, _resolve
 from .region import (
     CoeffRegion, _check_disjoint, split_blocks, vec_copy, vec_iadd, vec_negate, vec_scale)
 from .toeplitz import (
-    ToeplitzView,
     _quad_tri_toeplitz_mul,
     _quad_tri_toeplitz_solve,
-    rect_toeplitz_acc,
     tri_toeplitz_mul_overplace,
     tri_toeplitz_solve_overplace,
 )
 
 
-@dataclass(frozen=True)
-class EuclidContext:
-    """Block decomposition of one division instance.
+def _sweep_operands(a: CoeffRegion, b: CoeffRegion):
+    """(blocks, t_row, g_low) of a division by b, deg b = M >= 1.
 
-    The dividend is tiled exactly into mu width-M blocks plus, when
-    s = (N+1) mod M is nonzero, a top block of width s, so the tiling
-    covers the buffer and can be transformed in place.
+    blocks tile a exactly into width-M windows, the top one possibly
+    shorter; t_row = b[M], ..., b[1] is the first row of T; g_low =
+    b[0], ..., b[M-1], so G . y = g_low * y mod X^M.  A top block of
+    width s uses the s x s upper-left corner of T, t_row.sub(0, s), and
+    the left s columns of G, the same truncated product on a shorter y.
     """
-
-    m_deg: int
-    s: int              # top block width, (N+1) mod M
-    mu: int             # number of full-width blocks
-    blocks: tuple
-    t_row: CoeffRegion      # first row of T: b[M], ..., b[1]
-    g_low: CoeffRegion      # b[0], ..., b[M-1]; G . y = g_low * y mod X^M
-    t1_row: CoeffRegion | None   # s x s upper-left of T (s != 0)
-    g1_rect: CoeffRegion | None  # vector of G's lower (M-s) x s rectangle
-
-
-def euclid_context(a: CoeffRegion, b: CoeffRegion) -> EuclidContext:
-    m = _divisor_degree(b)
-    t_row = b.sub(1, m + 1).reversed() if m else None
-    g_low = b.sub(0, m)
-    mu, s = divmod(len(a), m)
-    blocks = tuple(split_blocks(a, m))
-    t1_row = b.sub(m - s + 1, m + 1).reversed() if s else None
-    g1_rect = b.sub(1, m).reversed() if s and m - s > 0 else None
-    return EuclidContext(m, s, mu, blocks, t_row, g_low, t1_row, g1_rect)
+    m = len(b) - 1
+    return split_blocks(a, m), b.sub(1, m + 1).reversed(), b.sub(0, m)
 
 
 @tracked
@@ -96,12 +76,12 @@ def remainder_blockwise(r: CoeffRegion, a: CoeffRegion, b: CoeffRegion,
     if m > len(a) - 1:
         vec_copy(r, a)
         return
-    ctx = euclid_context(a, b)
-    vec_copy(r, ctx.blocks[-1])
-    for block in reversed(ctx.blocks[:-1]):
+    blocks, t_row, g_low = _sweep_operands(a, b)
+    vec_copy(r, blocks[-1])
+    for block in reversed(blocks[:-1]):
         vec_copy(scratch, r)
-        _quad_tri_toeplitz_solve(ctx.t_row, scratch)
-        _quad_tri_toeplitz_mul(ctx.g_low, scratch.reversed())
+        _quad_tri_toeplitz_solve(t_row, scratch)
+        _quad_tri_toeplitz_mul(g_low, scratch.reversed())
         vec_copy(r, block)
         vec_iadd(r, scratch, negate=True)
 
@@ -125,28 +105,14 @@ def remainder_in_place(r: CoeffRegion, a: CoeffRegion, b: CoeffRegion,
     if m > len(a) - 1:
         vec_copy(r, a)
         return
-    ctx = euclid_context(a, b)
-    vec_copy(r, ctx.blocks[-1])
+    blocks, t_row, g_low = _sweep_operands(a, b)
+    vec_copy(r, blocks[-1])
     r_rev = r.reversed()
-    for block in reversed(ctx.blocks[:-1]):
-        tri_toeplitz_solve_overplace(ctx.t_row, r, "upper", strategy)
-        tri_toeplitz_mul_overplace(ctx.g_low, r_rev, "upper", strategy)
+    for block in reversed(blocks[:-1]):
+        tri_toeplitz_solve_overplace(t_row, r, "upper", strategy)
+        tri_toeplitz_mul_overplace(g_low, r_rev, "upper", strategy)
         vec_negate(r)
         vec_iadd(r, block)
-
-
-def _g1_acc(target: CoeffRegion, ctx: EuclidContext, b: CoeffRegion,
-            y: CoeffRegion, negate: bool, strategy) -> None:
-    """target +-= G1 . y for the left s columns of G; len(y) = s.
-
-    The top s rows form the width-s truncated product; the remaining
-    M-s rows are a full rectangular Toeplitz block on b[1..M) reversed.
-    """
-    s, m = ctx.s, ctx.m_deg
-    short_acc(target.sub(0, s), b.sub(0, s), y, negate, strategy)
-    if m - s > 0:
-        rect_toeplitz_acc(target.sub(s, m), ToeplitzView(ctx.g1_rect, m - s, s),
-                          y, negate, strategy)
 
 
 @tracked
@@ -168,14 +134,11 @@ def divmod_over_place(a: CoeffRegion, b: CoeffRegion,
     if m == 0:
         vec_scale(a, field.inv(b[0]))
         return
-    ctx = euclid_context(a, b)
-    if ctx.s:
-        top = ctx.blocks[ctx.mu]
-        tri_toeplitz_solve_overplace(ctx.t1_row, top, "upper", strategy)
-        _g1_acc(ctx.blocks[ctx.mu - 1], ctx, b, top, True, strategy)
-    for i in range(ctx.mu - 1, 0, -1):
-        tri_toeplitz_solve_overplace(ctx.t_row, ctx.blocks[i], "upper", strategy)
-        short_acc(ctx.blocks[i - 1], ctx.g_low, ctx.blocks[i], True, strategy)
+    blocks, t_row, g_low = _sweep_operands(a, b)
+    for i in range(len(blocks) - 1, 0, -1):
+        q = blocks[i]
+        tri_toeplitz_solve_overplace(t_row.sub(0, len(q)), q, "upper", strategy)
+        short_acc_ragged(blocks[i - 1], g_low, q, m, True, strategy)
 
 
 @tracked
@@ -188,18 +151,14 @@ def divmod_over_place_inv(a: CoeffRegion, b: CoeffRegion,
     n_deg = len(a) - 1
     if m > n_deg:
         return
-    field = a.field
     if m == 0:
         vec_scale(a, b[0])
         return
-    ctx = euclid_context(a, b)
-    for i in range(1, ctx.mu):
-        short_acc(ctx.blocks[i - 1], ctx.g_low, ctx.blocks[i], False, strategy)
-        tri_toeplitz_mul_overplace(ctx.t_row, ctx.blocks[i], "upper", strategy)
-    if ctx.s:
-        top = ctx.blocks[ctx.mu]
-        _g1_acc(ctx.blocks[ctx.mu - 1], ctx, b, top, False, strategy)
-        tri_toeplitz_mul_overplace(ctx.t1_row, top, "upper", strategy)
+    blocks, t_row, g_low = _sweep_operands(a, b)
+    for i in range(1, len(blocks)):
+        q = blocks[i]
+        short_acc_ragged(blocks[i - 1], g_low, q, m, False, strategy)
+        tri_toeplitz_mul_overplace(t_row.sub(0, len(q)), q, "upper", strategy)
 
 
 @tracked

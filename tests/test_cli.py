@@ -104,6 +104,23 @@ def test_exit_code_precondition_violations(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_library_preconditions_exit_1_with_nothing_printed(tmp_path, capsys):
+    # the library checks these before any write; the CLI maps them to 1
+    r3 = poly_file(tmp_path / "r3.poly", 7, [1, 2, 3])
+    a = poly_file(tmp_path / "a.poly", 7, [1, 2, 0, 1])
+    b = poly_file(tmp_path / "b.poly", 7, [1, 0, 1])
+    zero_lead = poly_file(tmp_path / "z.poly", 7, [1, 0, 0])
+    empty = poly_file(tmp_path / "e.poly", 7, [])
+    c = poly_file(tmp_path / "c.poly", 7, [1, 2, 3])
+    for argv in (["aper", r3, a, b],              # accumulator one too long
+                 ["mulmod", a, c, zero_lead],
+                 ["mulmod", a, c, empty],
+                 ["conv", "--f", "7", b, c, c],   # f not a residue mod 7
+                 ["conv", "--f", "-1", b, c, c]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().out == "", argv
+
+
 def test_exit_code_parse_errors(tmp_path, capsys):
     bad = write(tmp_path / "bad.poly", "seven\n1 2\n")
     ok = poly_file(tmp_path / "ok.poly", 7, [1, 1])

@@ -9,9 +9,8 @@ from ffpoly import (
     LengthMismatch,
     Schoolbook,
     conv_acc,
-    conv_even_1,
     conv_even_f,
-    conv_odd_f,
+    conv_split_f,
     measure,
     poly_region,
     short_acc,
@@ -31,8 +30,6 @@ def _conv_case(p, a, b, c, f, thr=16, fn=None, negate=False):
     kwargs = dict(negate=negate, strategy=Schoolbook(thr))
     if fn is None:
         conv_acc(rc, ra, rb, f, **kwargs)
-    elif fn is conv_even_1:
-        conv_even_1(rc, ra, rb, **kwargs)
     elif fn is short_acc:
         short_acc(rc, ra, rb, **kwargs)
     else:
@@ -78,27 +75,40 @@ def test_even_f_trace_and_degenerates():
 
 
 def test_even_1_examples():
-    got, want = _conv_case(5, [1, 2], [3, 1], [1, 1], 1, 1, fn=conv_even_1)
+    got, want = _conv_case(5, [1, 2], [3, 1], [1, 1], 1, 1, fn=conv_split_f)
     assert got == want == [1, 3]
     # constant-1 multiplicand: c += a
     got, want = _conv_case(7, [3, 4, 5, 6], [1, 0, 0, 0], [1, 1, 1, 1], 1, 2,
-                           fn=conv_even_1)
+                           fn=conv_split_f)
     assert got == [4, 5, 6, 0]
     rng = random.Random(9)
     a, b, c = (rand_coeffs(rng, 13, 8) for _ in range(3))
-    got, want = _conv_case(13, a, b, c, 1, 2, fn=conv_even_1)
+    got, want = _conv_case(13, a, b, c, 1, 2, fn=conv_split_f)
     assert got == want
 
 
 def test_odd_f_examples():
-    got, want = _conv_case(5, [1, 0, 1], [0, 1, 0], [0, 0, 0], 2, 1, fn=conv_odd_f)
+    got, want = _conv_case(5, [1, 0, 1], [0, 1, 0], [0, 0, 0], 2, 1, fn=conv_split_f)
     assert got == want == [2, 1, 0]
-    got, want = _conv_case(7, [3], [4], [1], 5, 1, fn=conv_odd_f)
+    got, want = _conv_case(7, [3], [4], [1], 5, 1, fn=conv_split_f)
     assert got == want == [(1 + 12) % 7]
     rng = random.Random(10)
     a, b, c = (rand_coeffs(rng, 7, 5) for _ in range(3))
-    got, want = _conv_case(7, a, b, c, 4, 1, fn=conv_odd_f)
+    got, want = _conv_case(7, a, b, c, 4, 1, fn=conv_split_f)
     assert got == want
+
+
+def test_split_f_covers_even_lengths_with_a_general_wrap():
+    # conv_acc sends even n with f outside {0, 1} to conv_even_f; the split
+    # is correct there too, and restores a and b bit for bit
+    rng = random.Random(0x5F)
+    for p in (5, 65521):
+        for thr in THRESHOLDS:
+            for n in range(2, 41, 2):
+                for f in (2, 3, 4) if p == 5 else (2, rng.randrange(3, p)):
+                    a, b, c = (rand_coeffs(rng, p, n) for _ in range(3))
+                    got, want = _conv_case(p, a, b, c, f, thr, fn=conv_split_f)
+                    assert got == want, (p, thr, n, f)
 
 
 def test_short_examples():
@@ -118,13 +128,11 @@ def test_dispatcher_routing(monkeypatch):
     # which one it runs.
     from ffpoly import conv
     seen = []
-    for route, name in (("short", "short_acc"), ("odd", "conv_odd_f"),
-                        ("even_one", "conv_even_1"), ("even_general", "conv_even_f"),
-                        ("full", "acc_mul_full")):
+    for route, name in (("short", "short_acc"), ("split", "conv_split_f"),
+                        ("even_general", "conv_even_f"), ("full", "acc_mul_full")):
         monkeypatch.setattr(conv, name, lambda *args, route=route, **kw: seen.append(route))
-    f5 = field(5)
-    for n, f, route in ((8, 0, "short"), (7, 2, "odd"), (7, 1, "odd"),
-                        (8, 1, "even_one"), (8, 3, "even_general")):
+    for n, f, route in ((8, 0, "short"), (7, 2, "split"), (7, 1, "split"),
+                        (8, 1, "split"), (8, 3, "even_general")):
         conv_acc(region_of(5, [0] * n), region_of(5, [1] * n), region_of(5, [2] * n), f)
         assert seen.pop() == route
     # above the threshold the truncated product is one full product of the
@@ -145,11 +153,8 @@ def test_domain_errors():
         conv_even_f(region_of(5, [0] * 3), region_of(5, [0] * 3),
                     region_of(5, [0] * 3), 2, strategy=Schoolbook(1))
     with pytest.raises(BadParameter):
-        conv_odd_f(region_of(5, [0] * 4), region_of(5, [0] * 4),
-                   region_of(5, [0] * 4), 2, strategy=Schoolbook(1))
-    with pytest.raises(BadParameter):
-        conv_odd_f(region_of(5, [0] * 3), region_of(5, [0] * 3),
-                   region_of(5, [0] * 3), 0, strategy=Schoolbook(1))
+        conv_split_f(region_of(5, [0] * 3), region_of(5, [0] * 3),
+                     region_of(5, [0] * 3), 0, strategy=Schoolbook(1))
     with pytest.raises(LengthMismatch):
         conv_acc(region_of(5, [0, 0]), region_of(5, [1]), region_of(5, [1, 1]), 1)
     with pytest.raises(BadParameter):
@@ -276,11 +281,13 @@ def test_short_acc_ragged_matches_truncated_product():
 
 
 def test_recurrence_structure_even_one():
-    # the even 1-convolution is exactly four half-size accumulations
+    # above the threshold the 1-convolution is exactly four products that
+    # cover the n^2 pairs (i, j) once each, with no scaling, at either parity
     f = field(65521)
     rng = random.Random(50)
-    for n in (32, 64, 128):
+    for n in (32, 33, 63, 64, 128):
         a, b, c = (poly_region(f, rand_coeffs(rng, f.p, n)) for _ in range(3))
         with measure(f) as sc:
             conv_acc(c, a, b, 1)
-        assert sc.counter.total == 4 * (2 * (n // 2) ** 2)
+        assert sc.counter.total == 2 * n * n, n
+        assert (sc.adds, sc.muls, sc.divs) == (n * n, n * n, 0), n

@@ -9,7 +9,6 @@ from ffpoly import (
     Schoolbook,
     divmod_over_place,
     divmod_over_place_inv,
-    euclid_context,
     measure,
     poly_region,
     quad_rem,
@@ -18,6 +17,7 @@ from ffpoly import (
     remainder_in_place,
     snapshot,
 )
+from ffpoly.euclid import _sweep_operands
 from ffpoly.reference import ref_divmod, ref_mul, ref_rem
 
 from conftest import FIELD_PRIMES, field, rand_coeffs, rand_monic_tail, region_of
@@ -207,12 +207,31 @@ def test_context_geometry():
     # exact tiling: a partial top block of width s
     a = region_of(7, list(range(7)))
     b = region_of(7, [1, 2, 3, 1])
-    ctx = euclid_context(a, b)
-    assert ctx.m_deg == 3 and ctx.s == 1 and ctx.mu == 2
-    assert [blk.to_list() for blk in ctx.blocks] == [[0, 1, 2], [3, 4, 5], [6]]
-    assert ctx.t_row.to_list() == [1, 3, 2]
-    assert ctx.g_low.to_list() == [1, 2, 3]
-    assert ctx.t1_row.to_list() == [1]
+    blocks, t_row, g_low = _sweep_operands(a, b)
+    assert [blk.to_list() for blk in blocks] == [[0, 1, 2], [3, 4, 5], [6]]
+    assert t_row.to_list() == [1, 3, 2]
+    assert g_low.to_list() == [1, 2, 3]
+
+
+@pytest.mark.parametrize("n_deg, m, adds, muls, divs", [
+    (40, 16, 400, 425, 2),
+    (100, 16, 1360, 1445, 6),
+    (1000, 128, 111744, 112617, 56),
+])
+def test_divmod_counts_with_a_partial_top_block(n_deg, m, adds, muls, divs):
+    # N + 1 is not a multiple of M: the top block is narrower than the
+    # rest and takes the same sweep step on the leading corner of T
+    p = 65521
+    rng = random.Random(n_deg * m)
+    a = region_of(p, rand_coeffs(rng, p, n_deg + 1))
+    b = region_of(p, rand_monic_tail(rng, p, m))
+    fld = field(p)
+    with measure(fld) as fwd:
+        divmod_over_place(a, b)
+    with measure(fld) as inv:
+        divmod_over_place_inv(a, b)
+    assert (fwd.adds, fwd.muls, fwd.divs) == (adds, muls, divs)
+    assert (inv.adds, inv.muls, inv.divs) == (adds, muls, 0)
 
 
 @pytest.mark.parametrize("p", [2, 65521])
