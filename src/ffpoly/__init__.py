@@ -55,7 +55,7 @@ from .euclid import (
     remainder_blockwise,
     remainder_in_place,
 )
-from .modmul import DegreeConstraint, MulmodBlocks, mulmod_acc, mulmod_acc_full, mulmod_blocks
+from .modmul import DegreeConstraint, mulmod_acc, mulmod_acc_full
 from . import reference
 
 __all__ = [
@@ -81,5 +81,5 @@ __all__ = [
     "divmod_over_place", "divmod_over_place_inv", "remainder_acc",
     "remainder_blockwise", "remainder_in_place",
     # modmul
-    "DegreeConstraint", "MulmodBlocks", "mulmod_acc", "mulmod_acc_full", "mulmod_blocks",
+    "DegreeConstraint", "mulmod_acc", "mulmod_acc_full",
 ]

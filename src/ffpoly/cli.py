@@ -342,11 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
                                   description="polynomial arithmetic over F_p")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(sp, out=True):
+    def common(sp):
         sp.add_argument("--mod", type=int, default=None, help="modulus p (prime)")
-        sp.add_argument("--seed", type=int, default=None, help="RNG seed")
-        if out:
-            sp.add_argument("--out", default=None, help="output file (default stdout)")
+        sp.add_argument("--out", default=None, help="output file (default stdout)")
 
     sp = sub.add_parser("rem", help="remainder a mod b")
     common(sp)
@@ -387,12 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bench", help="operation-count benchmark CSV")
     common(sp)
+    sp.add_argument("--seed", type=int, default=None, help="RNG seed")
     sp.add_argument("--sizes", default=None,
                     help="comma-separated convolution lengths")
     sp.set_defaults(fn=cmd_bench)
 
     sp = sub.add_parser("selftest", help="worked examples and oracle fuzz")
-    common(sp, out=False)
+    sp.add_argument("--seed", type=int, default=None, help="RNG seed")
     sp.set_defaults(fn=cmd_selftest)
     return top
 

@@ -9,19 +9,25 @@ Toeplitz structure built from two M x M blocks of b:
 
 A Horner sweep r <- (-G T^{-1}) r + a_i over the blocks of a, from the
 top block down, leaves exactly the remainder, so the quotient is
-overwritten block by block and never stored.  Every entry point tiles a
-exactly: only the top block can be shorter than M.  The sweeps that start
-in r zero-extend it once, when `vec_copy` puts it there; the over-place
-sweeps give it the leading corner of T and the left columns of G, so one
-loop serves every block.
+overwritten block by block and never stored.  The two remainder sweeps
+tile a exactly: only the top block can be shorter than M, and they
+zero-extend it once, when `vec_copy` puts it in r, so one loop serves
+every block.
 
 `remainder_blockwise` runs that sweep with read-only inputs and one
 caller-provided M-element scratch vector.  `remainder_in_place` replaces
 the two block products by their over-place triangular versions, which
 borrow (and restore) the storage of b, so only the output vector is
-written.  `divmod_over_place` applies the same sweep over a itself,
-leaving [remainder, quotient] in a's buffer, and is exactly reversible;
-`remainder_acc` wraps it in both directions around one accumulation.
+written.
+
+`divmod_over_place` runs the same steps over a itself, leaving
+[remainder, quotient] in a's buffer: the top N - M + 1 coefficients of
+a are the banded upper-triangular Toeplitz matrix on reversed b applied
+to q, so one banded solve (`toeplitz.banded_upper_solve_overplace`, whose
+blocks are exactly T and G) leaves q there, and one truncated product
+subtracts (b mod X^M) * q from the low M cells.  It is exactly
+reversible; `remainder_acc` wraps it in both directions around one
+accumulation.
 
 Applying G is a truncated product, G . y = (b mod X^M) * y mod X^M, or
 over-place an upper triangular product on reversed views of y.
@@ -37,19 +43,20 @@ from .region import (
 from .toeplitz import (
     _quad_tri_toeplitz_mul,
     _quad_tri_toeplitz_solve,
+    banded_upper_mul_overplace,
+    banded_upper_solve_overplace,
     tri_toeplitz_mul_overplace,
     tri_toeplitz_solve_overplace,
 )
 
 
 def _sweep_operands(a: CoeffRegion, b: CoeffRegion):
-    """(blocks, t_row, g_low) of a division by b, deg b = M >= 1.
+    """(blocks, t_row, g_low) of a remainder sweep by b, deg b = M >= 1.
 
     blocks tile a exactly into width-M windows, the top one possibly
     shorter; t_row = b[M], ..., b[1] is the first row of T; g_low =
-    b[0], ..., b[M-1], so G . y = g_low * y mod X^M.  A top block of
-    width s uses the s x s upper-left corner of T, t_row.sub(0, s), and
-    the left s columns of G, the same truncated product on a shorter y.
+    b[0], ..., b[M-1], so G . y = g_low * y mod X^M.  The top block is
+    only copied into r, so T and G are always applied at full width.
     """
     m = len(b) - 1
     return split_blocks(a, m), b.sub(1, m + 1).reversed(), b.sub(0, m)
@@ -134,11 +141,9 @@ def divmod_over_place(a: CoeffRegion, b: CoeffRegion,
     if m == 0:
         vec_scale(a, field.inv(b[0]))
         return
-    blocks, t_row, g_low = _sweep_operands(a, b)
-    for i in range(len(blocks) - 1, 0, -1):
-        q = blocks[i]
-        tri_toeplitz_solve_overplace(t_row.sub(0, len(q)), q, "upper", strategy)
-        short_acc_ragged(blocks[i - 1], g_low, q, m, True, strategy)
+    q = a.sub(m, n_deg + 1)
+    banded_upper_solve_overplace(b.reversed(), q, strategy)
+    short_acc_ragged(a.sub(0, m), b.sub(0, m), q, m, True, strategy)
 
 
 @tracked
@@ -154,11 +159,9 @@ def divmod_over_place_inv(a: CoeffRegion, b: CoeffRegion,
     if m == 0:
         vec_scale(a, b[0])
         return
-    blocks, t_row, g_low = _sweep_operands(a, b)
-    for i in range(1, len(blocks)):
-        q = blocks[i]
-        short_acc_ragged(blocks[i - 1], g_low, q, m, False, strategy)
-        tri_toeplitz_mul_overplace(t_row.sub(0, len(q)), q, "upper", strategy)
+    q = a.sub(m, n_deg + 1)
+    short_acc_ragged(a.sub(0, m), b.sub(0, m), q, m, False, strategy)
+    banded_upper_mul_overplace(b.reversed(), q, strategy)
 
 
 @tracked

@@ -6,7 +6,8 @@ over-place inside c's top window, the quotient of a*c by b is solved
 there, its contribution is subtracted from r, and both transformations
 are inverted exactly, restoring c.  The product and quotient operators
 restricted to that window are banded upper-triangular Toeplitz matrices
-(bands deg a + 1 and deg b + 1), handled by the banded routines.
+whose bands are the reversed operands, reversed a and reversed b, handled
+by the banded routines.
 
 `mulmod_acc_full` lifts the degree constraint: it swaps the operands so
 the shorter one plays a, and when that one still exceeds b it is reduced
@@ -15,8 +16,6 @@ and rebuilt.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .conv import LengthMismatch, short_acc_ragged
 from .euclid import divmod_over_place, divmod_over_place_inv
@@ -28,40 +27,6 @@ from .toeplitz import banded_upper_mul_overplace, banded_upper_solve_overplace
 
 class DegreeConstraint(ValueError):
     """deg a exceeds min(deg c, deg b) in the constrained entry point."""
-
-
-@dataclass(frozen=True)
-class MulmodBlocks:
-    """Window geometry of one constrained instance.
-
-    q is the quotient degree; c's top q+1 coefficients form the working
-    window.  a_band and b_band are the defining vectors (leading
-    coefficient first) of the banded product and divisor operators on
-    that window.
-    """
-
-    l_deg: int
-    n_deg: int
-    m_deg: int
-    q: int
-    window: CoeffRegion
-    a_band: CoeffRegion
-    b_band: CoeffRegion
-
-
-def mulmod_blocks(a: CoeffRegion, c: CoeffRegion, b: CoeffRegion) -> MulmodBlocks:
-    l_deg = len(a) - 1
-    n_deg = len(c) - 1
-    m_deg = len(b) - 1
-    q = l_deg + n_deg - m_deg
-    ka = min(q, l_deg) + 1
-    kb = min(q, m_deg) + 1
-    return MulmodBlocks(
-        l_deg, n_deg, m_deg, q,
-        window=c.sub(n_deg - q, n_deg + 1),
-        a_band=a.sub(l_deg - ka + 1, l_deg + 1).reversed(),
-        b_band=b.sub(m_deg - kb + 1, m_deg + 1).reversed(),
-    )
 
 
 @tracked
@@ -90,13 +55,13 @@ def mulmod_acc(r: CoeffRegion, a: CoeffRegion, c: CoeffRegion, b: CoeffRegion,
         return
     if a[l_deg] == 0:
         raise NonInvertibleLeading("multiplier needs a nonzero leading coefficient")
-    blk = mulmod_blocks(a, c, b)
-    w = blk.window
-    banded_upper_mul_overplace(blk.a_band, w, strategy)     # top of a*c
-    banded_upper_solve_overplace(blk.b_band, w, strategy)   # quotient of a*c by b
+    w = c.sub(m_deg - l_deg, n_deg + 1)
+    a_band, b_band = a.reversed(), b.reversed()
+    banded_upper_mul_overplace(a_band, w, strategy)     # top of a*c
+    banded_upper_solve_overplace(b_band, w, strategy)   # quotient of a*c by b
     short_acc_ragged(r, b.sub(0, m_deg), w, m_deg, True, strategy)
-    banded_upper_mul_overplace(blk.b_band, w, strategy)     # undo the solve
-    banded_upper_solve_overplace(blk.a_band, w, strategy)   # undo the product
+    banded_upper_mul_overplace(b_band, w, strategy)     # undo the solve
+    banded_upper_solve_overplace(a_band, w, strategy)   # undo the product
     short_acc_ragged(r, a, c, m_deg, False, strategy)
 
 

@@ -6,8 +6,11 @@ an O(1) reversed view.  Circ_f(a) . b = reverse(conv_f(a, reverse(b))).
 A square Toeplitz block is two truncated products on views, one per
 triangle; a rectangular one peels squares while both sides exceed the
 strategy threshold and finishes the strip left row by row.  Over-place
-triangular multiply and solve recurse on halves of the upper matrix only,
-and banded variants chunk a long vector by the band width.
+triangular multiply and solve recurse on halves of the upper matrix only.
+A banded upper-triangular Toeplitz matrix of band width k is block
+bidiagonal over blocks of width k - 1: the banded multiply and solve are
+one sweep of triangular blocks coupled by truncated products.  Euclidean
+division is that solve on the reversed divisor.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from .conv import LengthMismatch, conv_acc, short_acc, short_acc_ragged
 from .instrument import tracked
 from .mulbase import MulStrategy, SingularDiagonal, _resolve
-from .region import CoeffRegion, _check_disjoint, _mac
+from .region import CoeffRegion, _check_disjoint, _mac, split_blocks
 
 
 @dataclass(frozen=True)
@@ -220,20 +223,21 @@ def tri_toeplitz_solve_overplace(a: CoeffRegion, b: CoeffRegion, orientation: st
 
 
 # ---------------------------------------------------------------------------
-# Banded upper-triangular Toeplitz, band width k = len(x) <= len(y): the
-# matrix has entry (i, j) = x[j - i] for 0 <= j - i < k and 0 elsewhere.
-# y is chunked by the band width; diagonal chunks are dense triangular
-# Toeplitz blocks on x itself, and the coupling of one chunk to the next
-# is a truncated product with the reversed tail of x, so the zero part of
-# the band never needs storage.
+# Banded upper-triangular Toeplitz, band width k = len(x): the matrix has
+# entry (i, j) = x[j - i] for 0 <= j - i < k and 0 elsewhere.  y is tiled
+# by w = max(k - 1, 1), so the matrix is block bidiagonal: each diagonal
+# block is the dense triangular Toeplitz block on x[0:w], and block i+1
+# reaches block i through the truncated product with reversed x[1:k].  A
+# band at least as long as y is one triangular block.  Euclidean division
+# is the solve on reversed b (see euclid.divmod_over_place).
 
-def _banded_couple(target_chunk, x_tail_rev, next_chunk, negate, strategy):
-    k1 = len(x_tail_rev)
-    if k1 == 0 or len(next_chunk) == 0:
-        return
-    z = next_chunk.sub(0, min(k1, len(next_chunk)))
-    short_acc_ragged(target_chunk.sub(1, k1 + 1), x_tail_rev, z, k1,
-                     negate, strategy)
+def _band_blocks(x, y):
+    k = len(x)
+    if k == 0:
+        raise LengthMismatch("band vector must be nonempty")
+    _check_disjoint(x, y)
+    w = max(k - 1, 1)
+    return split_blocks(y, w), x.sub(1, k).reversed(), w
 
 
 @tracked
@@ -241,56 +245,25 @@ def banded_upper_mul_overplace(x: CoeffRegion, y: CoeffRegion,
                                strategy: MulStrategy | None = None) -> None:
     """y <- U . y for the banded upper-triangular Toeplitz U built on x."""
     strategy = _resolve(strategy)
-    m = len(y)
-    k = len(x)
-    if k == 0:
-        raise LengthMismatch("band vector must be nonempty")
-    _check_disjoint(x, y)
-    if k > m:
-        x = x.sub(0, m)
-        k = m
-    if m == 0:
-        return
-    full, tail = divmod(m, k)
-    x_tail_rev = x.sub(1, k).reversed()
-    for i in range(full):
-        chunk = y.sub(i * k, (i + 1) * k)
-        tri_toeplitz_mul_overplace(x, chunk, "upper", strategy)
-        nxt_start = (i + 1) * k
-        if nxt_start < m:
-            _banded_couple(chunk, x_tail_rev, y.sub(nxt_start, min(nxt_start + k, m)),
-                           False, strategy)
-    if tail:
-        tri_toeplitz_mul_overplace(x.sub(0, tail), y.sub(full * k, m), "upper",
-                                   strategy)
+    blocks, g, w = _band_blocks(x, y)
+    for i, block in enumerate(blocks):
+        tri_toeplitz_mul_overplace(x.sub(0, len(block)), block, "upper", strategy)
+        if i + 1 < len(blocks):
+            short_acc_ragged(block, g, blocks[i + 1], w, False, strategy)
 
 
 @tracked
 def banded_upper_solve_overplace(x: CoeffRegion, y: CoeffRegion,
                                  strategy: MulStrategy | None = None) -> None:
-    """y <- U^{-1} . y, back-substitution over the band-width chunks."""
+    """y <- U^{-1} . y, back-substitution over the blocks of the multiply.
+
+    The last block is solved first, so a zero diagonal raises before any
+    write.
+    """
     strategy = _resolve(strategy)
-    m = len(y)
-    k = len(x)
-    if k == 0:
-        raise LengthMismatch("band vector must be nonempty")
-    _check_disjoint(x, y)
-    if k > m:
-        x = x.sub(0, m)
-        k = m
-    if m == 0:
-        return
-    if x[0] == 0:
-        raise SingularDiagonal("banded solve needs a nonzero diagonal")
-    full, tail = divmod(m, k)
-    x_tail_rev = x.sub(1, k).reversed()
-    if tail:
-        tri_toeplitz_solve_overplace(x.sub(0, tail), y.sub(full * k, m), "upper",
-                                     strategy)
-    for i in range(full - 1, -1, -1):
-        chunk = y.sub(i * k, (i + 1) * k)
-        nxt_start = (i + 1) * k
-        if nxt_start < m:
-            _banded_couple(chunk, x_tail_rev, y.sub(nxt_start, min(nxt_start + k, m)),
-                           True, strategy)
-        tri_toeplitz_solve_overplace(x, chunk, "upper", strategy)
+    blocks, g, w = _band_blocks(x, y)
+    for i in range(len(blocks) - 1, -1, -1):
+        block = blocks[i]
+        if i + 1 < len(blocks):
+            short_acc_ragged(block, g, blocks[i + 1], w, True, strategy)
+        tri_toeplitz_solve_overplace(x.sub(0, len(block)), block, "upper", strategy)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ffpoly.cli import BENCH_HEADER, format_poly, main, read_poly
 from ffpoly.reference import ref_convolution, ref_divmod, ref_mulmod, ref_rem
 
@@ -128,6 +130,16 @@ def test_exit_code_parse_errors(tmp_path, capsys):
     assert main(["rem", str(tmp_path / "missing.poly"), ok]) == 2
     noncanon = write(tmp_path / "nc.poly", "7\n9 1\n")
     assert main(["rem", noncanon, ok]) == 2
+    capsys.readouterr()
+
+
+def test_flags_only_on_the_commands_that_read_them(tmp_path, capsys):
+    a = poly_file(tmp_path / "a.poly", 7, [1, 2, 0, 1])
+    b = poly_file(tmp_path / "b.poly", 7, [1, 0, 1])
+    for argv in (["rem", "--seed", "1", a, b], ["selftest", "--mod", "7"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
     capsys.readouterr()
 
 

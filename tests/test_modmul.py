@@ -13,7 +13,6 @@ from ffpoly import (
     measure,
     mulmod_acc,
     mulmod_acc_full,
-    mulmod_blocks,
     poly_region,
     snapshot,
 )
@@ -175,14 +174,30 @@ def test_quotient_sits_in_the_window():
         c = rand_coeffs(rng, p, n + 1)
         b = rand_monic_tail(rng, p, m)
         ra, rc, rb = (region_of(p, x) for x in (a, c, b))
-        blk = mulmod_blocks(ra, rc, rb)
-        banded_upper_mul_overplace(blk.a_band, blk.window)
-        banded_upper_solve_overplace(blk.b_band, blk.window)
+        window = rc.sub(m - l, n + 1)
+        banded_upper_mul_overplace(ra.reversed(), window)
+        banded_upper_solve_overplace(rb.reversed(), window)
         q, _ = ref_divmod(ref_mul(a, c, p), b, p)
-        assert blk.window.to_list() == q
-        banded_upper_mul_overplace(blk.b_band, blk.window)
-        banded_upper_solve_overplace(blk.a_band, blk.window)
+        assert window.to_list() == q
+        banded_upper_mul_overplace(rb.reversed(), window)
+        banded_upper_solve_overplace(ra.reversed(), window)
         assert rc.to_list() == c
+
+
+def test_counts_pin_the_band_tiling():
+    # bands of width 17 tile the window by 16: every triangular block is a
+    # Schoolbook(16) base case, so each of the two solve passes pays one
+    # inverse per block, 2 * 256 / 16 divs
+    rng = random.Random(97)
+    p = 65521
+    l, n, m = 16, 255, 16
+    ra = region_of(p, rand_coeffs(rng, p, l) + [rng.randrange(1, p)])
+    rc = region_of(p, rand_coeffs(rng, p, n + 1))
+    rb = region_of(p, rand_monic_tail(rng, p, m))
+    r = _zeros(p, m)
+    with measure(field(p)) as scope:
+        mulmod_acc(r, ra, rc, rb, strategy=Schoolbook(16))
+    assert (scope.adds, scope.muls, scope.divs) == (16112, 17136, 32)
 
 
 def test_degree_constraint_and_leading_checks():

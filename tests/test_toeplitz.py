@@ -236,7 +236,7 @@ def test_banded_fuzz():
     for p in (2, 5, 65521):
         for _ in range(200):
             m = rng.randrange(1, 50)
-            k = rng.randrange(1, m + 1)
+            k = rng.randrange(1, m + 4)
             x = [rng.randrange(1, p)] + rand_coeffs(rng, p, k - 1)
             y0 = rand_coeffs(rng, p, m)
             rx, ry = region_of(p, x), region_of(p, y0)
