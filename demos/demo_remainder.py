@@ -6,7 +6,8 @@ the remainder 1 + X.  Three ways to get the remainder, in decreasing
 order of extra space:
 
   remainder_blockwise  -- A, B read-only, one deg(B)-sized scratch;
-  remainder_in_place   -- no scratch at all, B borrowed and restored;
+  remainder_in_place   -- no scratch at all, A and B read-only (B restored
+                          by any strategy that borrows it);
   divmod_over_place    -- A itself becomes [remainder | quotient], and
                           the transformation is exactly reversible.
 """

@@ -35,7 +35,6 @@ from .conv import (
     conv_even_f,
     conv_split_f,
     short_acc,
-    short_acc_ragged,
 )
 from .toeplitz import (
     CirculantView,
@@ -72,7 +71,7 @@ __all__ = [
     "quad_rem_overplace", "quad_tri_mul_overplace", "quad_tri_solve_overplace",
     # conv
     "BadParameter", "LengthMismatch", "conv_acc", "conv_even_f", "conv_split_f",
-    "short_acc", "short_acc_ragged",
+    "short_acc",
     # toeplitz
     "CirculantView", "ToeplitzView", "banded_upper_mul_overplace",
     "banded_upper_solve_overplace", "circulant_acc", "rect_toeplitz_acc",

@@ -38,7 +38,7 @@ def read_poly(path: str) -> tuple[int, list[int]]:
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CliParseError(f"{path}: {e}") from e
     lines = text.splitlines()
     if not lines:

@@ -149,74 +149,49 @@ def conv_split_f(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, f: int,
 @tracked
 def short_acc(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion,
               negate: bool = False, strategy: MulStrategy | None = None) -> None:
-    """c += a*b mod X^n, the truncated (0-convolution) product.
+    """c += a*b mod X^n with n = len(c), the truncated (0-convolution) product.
 
-    Above the threshold the operands split in halves, t = ceil(n/2) and
-    h = floor(n/2): the full product of the low halves a[0:t]*b[0:t]
-    lands on c[0:2t-1], and the two cross terms that reach below X^n,
-    a[0:h]*b[t:n] and a[t:n]*b[0:h], are truncated products onto c[t:n].
-    Only c is written and no field element outside {0, 1} is used, so one
-    path serves every field, GF(2) included.
+    a and b may have any lengths: they are cut to la = min(len a, n) and
+    lb = min(len b, n), as nothing above reaches below X^n, and a product
+    that then fits, la + lb - 1 <= n, is one full product.  Otherwise the
+    operands split at t = ceil(n/2), h = floor(n/2): the full product of
+    the low parts a[0:t]*b[0:t] lands on c[0:2t-1], and the two cross terms
+    that reach below X^n, a[0:h]*b[t:lb] and a[t:la]*b[0:h], are truncated
+    products onto c[t:n].  Only c is written and no field element outside
+    {0, 1} is used, so one path serves every field, GF(2) included.
 
-    Cost S(n) = M(t) + 2*S(h): exactly n(n+1)/2 muls and adds under
-    `Schoolbook`, and O(M(n)) whenever M(n) = Theta(n^(1+eps)).  For a
-    quasi-linear M (an NTT strategy) the split costs M(n)*log n; there,
-    two wrapped convolutions whose quotient parts cancel (lambda*a mod
-    X^n - 1 and (1 - lambda)*a mod X^n - lambda/(lambda - 1)) cost O(M(n))
-    and would be the right route again.
+    Under `Schoolbook` each pair (i, j) with i < la, j < lb and i + j < n
+    costs one mul and one add: n(n+1)/2 of each for square operands.  The
+    square cost S(n) = M(t) + 2*S(h) is O(M(n)) whenever M(n) =
+    Theta(n^(1+eps)).  For a quasi-linear M (an NTT strategy) the split
+    costs M(n)*log n; there, two wrapped convolutions whose quotient parts
+    cancel (lambda*a mod X^n - 1 and (1 - lambda)*a mod X^n -
+    lambda/(lambda - 1)) cost O(M(n)) and would be the right route again.
     """
     strategy = _resolve(strategy)
-    n = _check_triple(c, a, b)
+    n = len(c)
+    if len(a) > n:
+        a = a.sub(0, n)
+    if len(b) > n:
+        b = b.sub(0, n)
     if n <= strategy.threshold:
         strategy.acc_mul_short(c, a, b, n, negate)
         return
+    la, lb = len(a), len(b)
+    if la == 0 or lb == 0:
+        return
+    if la + lb - 1 <= n:
+        acc_mul_full(c.sub(0, la + lb - 1), a, b, negate=negate, strategy=strategy)
+        return
     h = n // 2
     t = n - h
-    acc_mul_full(c.sub(0, 2 * t - 1), a.sub(0, t), b.sub(0, t), negate=negate,
+    la0, lb0 = min(la, t), min(lb, t)
+    acc_mul_full(c.sub(0, la0 + lb0 - 1), a.sub(0, la0), b.sub(0, lb0), negate=negate,
                  strategy=strategy)
-    short_acc(c.sub(t, n), a.sub(0, h), b.sub(t, n), negate, strategy)
-    short_acc(c.sub(t, n), a.sub(t, n), b.sub(0, h), negate, strategy)
-
-
-@tracked
-def short_acc_ragged(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion,
-                     n: int | None = None, negate: bool = False,
-                     strategy: MulStrategy | None = None) -> None:
-    """c += a*b mod X^n for operands of any lengths.
-
-    Peels full products off the longer operand until the remaining piece
-    is square, then hands over to `short_acc`; the peeling is iterative,
-    so only O(1) frames are used.  Coefficients of a and b at or above
-    X^n never contribute and are ignored.
-    """
-    strategy = _resolve(strategy)
-    if n is None:
-        n = len(c)
-    if len(c) < n:
-        raise LengthMismatch(f"target {len(c)} < truncation length {n}")
-    c = c.sub(0, n)
-    a = a.sub(0, min(len(a), n))
-    b = b.sub(0, min(len(b), n))
-    while True:
-        la, lb = len(a), len(b)
-        if la == 0 or lb == 0 or n == 0:
-            return
-        if la + lb - 1 <= n:
-            acc_mul_full(c.sub(0, la + lb - 1), a, b, negate=negate,
-                         strategy=strategy)
-            return
-        if la > lb:
-            a, b = b, a
-            la, lb = lb, la
-        if la == n and lb == n:
-            short_acc(c, a, b, negate, strategy)
-            return
-        cut = n - la + 1
-        acc_mul_full(c, a, b.sub(0, cut), negate=negate, strategy=strategy)
-        c = c.sub(cut, n)
-        b = b.sub(cut, lb)
-        n = la - 1
-        a = a.sub(0, n)
+    if lb > t:
+        short_acc(c.sub(t, n), a, b.sub(t, lb), negate, strategy)
+    if la > t:
+        short_acc(c.sub(t, n), a.sub(t, la), b, negate, strategy)
 
 
 @tracked

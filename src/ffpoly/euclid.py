@@ -16,9 +16,9 @@ every block.
 
 `remainder_blockwise` runs that sweep with read-only inputs and one
 caller-provided M-element scratch vector.  `remainder_in_place` replaces
-the two block products by their over-place triangular versions, which
-borrow (and restore) the storage of b, so only the output vector is
-written.
+the two block products by their over-place triangular versions, so only
+the output vector is written: `Schoolbook` never writes b, and a
+strategy that borrows b's storage must restore it.
 
 `divmod_over_place` runs the same steps over a itself, leaving
 [remainder, quotient] in a's buffer: the top N - M + 1 coefficients of
@@ -35,7 +35,7 @@ over-place an upper triangular product on reversed views of y.
 
 from __future__ import annotations
 
-from .conv import LengthMismatch, short_acc_ragged
+from .conv import LengthMismatch, short_acc
 from .instrument import tracked
 from .mulbase import MulStrategy, _divisor_degree, _resolve
 from .region import (
@@ -99,8 +99,8 @@ def remainder_in_place(r: CoeffRegion, a: CoeffRegion, b: CoeffRegion,
     """r <- a mod b with no scratch at all; a read-only, b restored.
 
     The sweep runs inside r: solve against T and multiply by G with the
-    over-place triangular routines (which temporarily borrow b's storage),
-    negate, add the next block of a.
+    over-place triangular routines, negate, add the next block of a.
+    `Schoolbook` never writes b; a strategy that borrows it restores it.
     """
     strategy = _resolve(strategy)
     m = _divisor_degree(b)
@@ -143,7 +143,7 @@ def divmod_over_place(a: CoeffRegion, b: CoeffRegion,
         return
     q = a.sub(m, n_deg + 1)
     banded_upper_solve_overplace(b.reversed(), q, strategy)
-    short_acc_ragged(a.sub(0, m), b.sub(0, m), q, m, True, strategy)
+    short_acc(a.sub(0, m), b, q, True, strategy)
 
 
 @tracked
@@ -160,7 +160,7 @@ def divmod_over_place_inv(a: CoeffRegion, b: CoeffRegion,
         vec_scale(a, b[0])
         return
     q = a.sub(m, n_deg + 1)
-    short_acc_ragged(a.sub(0, m), b.sub(0, m), q, m, False, strategy)
+    short_acc(a.sub(0, m), b, q, False, strategy)
     banded_upper_mul_overplace(b.reversed(), q, strategy)
 
 

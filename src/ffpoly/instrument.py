@@ -19,6 +19,7 @@ shapes; no kernel short-circuits on operand values.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import wraps
 
 
 class GuardViolation(RuntimeError):
@@ -145,11 +146,15 @@ def tracked(fn):
     """Record recursion depth of fn in the active scope, if any.
 
     The field is discovered from the first argument that exposes one
-    (regions, split targets and views all do).
+    (regions, split targets and views all do); keyword arguments are
+    scanned only when no positional one does.
     """
 
+    @wraps(fn)
     def wrapper(*args, **kwargs):
         field = _field_of(args)
+        if field is None and kwargs:
+            field = _field_of(kwargs.values())
         scope = field.scope if field is not None else None
         if scope is None:
             return fn(*args, **kwargs)
@@ -159,8 +164,4 @@ def tracked(fn):
         finally:
             scope.leave()
 
-    wrapper.__name__ = fn.__name__
-    wrapper.__qualname__ = fn.__qualname__
-    wrapper.__doc__ = fn.__doc__
-    wrapper.__wrapped__ = fn
     return wrapper

@@ -17,10 +17,10 @@ and rebuilt.
 
 from __future__ import annotations
 
-from .conv import LengthMismatch, short_acc_ragged
+from .conv import LengthMismatch, short_acc
 from .euclid import divmod_over_place, divmod_over_place_inv
 from .instrument import tracked
-from .mulbase import MulStrategy, NonInvertibleLeading, _divisor_degree, _resolve, acc_mul_full
+from .mulbase import MulStrategy, NonInvertibleLeading, _divisor_degree, _resolve
 from .region import CoeffRegion, _check_disjoint
 from .toeplitz import banded_upper_mul_overplace, banded_upper_solve_overplace
 
@@ -36,7 +36,7 @@ def mulmod_acc(r: CoeffRegion, a: CoeffRegion, c: CoeffRegion, b: CoeffRegion,
 
     Needs nonzero leading coefficients on a and b (the two banded
     operators must be invertible) and disjoint regions.  When the product
-    fits under b the accumulation is a single full multiplication.
+    fits under b only the closing truncated product a*c mod X^M runs.
     """
     strategy = _resolve(strategy)
     m_deg = _divisor_degree(b)
@@ -50,19 +50,17 @@ def mulmod_acc(r: CoeffRegion, a: CoeffRegion, c: CoeffRegion, b: CoeffRegion,
     if l_deg > n_deg or l_deg > m_deg:
         raise DegreeConstraint(
             f"need deg a <= min(deg c, deg b): {l_deg} > min({n_deg}, {m_deg})")
-    if l_deg + n_deg < m_deg:
-        acc_mul_full(r.sub(0, l_deg + n_deg + 1), a, c, strategy=strategy)
-        return
-    if a[l_deg] == 0:
-        raise NonInvertibleLeading("multiplier needs a nonzero leading coefficient")
-    w = c.sub(m_deg - l_deg, n_deg + 1)
-    a_band, b_band = a.reversed(), b.reversed()
-    banded_upper_mul_overplace(a_band, w, strategy)     # top of a*c
-    banded_upper_solve_overplace(b_band, w, strategy)   # quotient of a*c by b
-    short_acc_ragged(r, b.sub(0, m_deg), w, m_deg, True, strategy)
-    banded_upper_mul_overplace(b_band, w, strategy)     # undo the solve
-    banded_upper_solve_overplace(a_band, w, strategy)   # undo the product
-    short_acc_ragged(r, a, c, m_deg, False, strategy)
+    if l_deg + n_deg >= m_deg:
+        if a[l_deg] == 0:
+            raise NonInvertibleLeading("multiplier needs a nonzero leading coefficient")
+        w = c.sub(m_deg - l_deg, n_deg + 1)
+        a_band, b_band = a.reversed(), b.reversed()
+        banded_upper_mul_overplace(a_band, w, strategy)     # top of a*c
+        banded_upper_solve_overplace(b_band, w, strategy)   # quotient of a*c by b
+        short_acc(r, b, w, True, strategy)
+        banded_upper_mul_overplace(b_band, w, strategy)     # undo the solve
+        banded_upper_solve_overplace(a_band, w, strategy)   # undo the product
+    short_acc(r, a, c, False, strategy)
 
 
 def _trim(r: CoeffRegion) -> CoeffRegion:

@@ -43,7 +43,9 @@ class MulStrategy:
     """Interface of an accumulating multiplication routine.
 
     threshold: length at or below which callers should switch to their
-    quadratic base case.
+    quadratic base case.  `acc_mul_short(c, a, b, n)` accumulates
+    a*b mod X^n onto c[0:n] for operands of any lengths, ignoring their
+    coefficients at or above X^n.
     """
 
     name = "abstract"

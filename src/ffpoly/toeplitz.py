@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conv import LengthMismatch, conv_acc, short_acc, short_acc_ragged
+from .conv import LengthMismatch, conv_acc, short_acc
 from .instrument import tracked
 from .mulbase import MulStrategy, SingularDiagonal, _resolve
 from .region import CoeffRegion, _check_disjoint, _mac, split_blocks
@@ -236,8 +236,7 @@ def _band_blocks(x, y):
     if k == 0:
         raise LengthMismatch("band vector must be nonempty")
     _check_disjoint(x, y)
-    w = max(k - 1, 1)
-    return split_blocks(y, w), x.sub(1, k).reversed(), w
+    return split_blocks(y, max(k - 1, 1)), x.sub(1, k).reversed()
 
 
 @tracked
@@ -245,11 +244,11 @@ def banded_upper_mul_overplace(x: CoeffRegion, y: CoeffRegion,
                                strategy: MulStrategy | None = None) -> None:
     """y <- U . y for the banded upper-triangular Toeplitz U built on x."""
     strategy = _resolve(strategy)
-    blocks, g, w = _band_blocks(x, y)
+    blocks, g = _band_blocks(x, y)
     for i, block in enumerate(blocks):
         tri_toeplitz_mul_overplace(x.sub(0, len(block)), block, "upper", strategy)
         if i + 1 < len(blocks):
-            short_acc_ragged(block, g, blocks[i + 1], w, False, strategy)
+            short_acc(block, g, blocks[i + 1], False, strategy)
 
 
 @tracked
@@ -261,9 +260,9 @@ def banded_upper_solve_overplace(x: CoeffRegion, y: CoeffRegion,
     write.
     """
     strategy = _resolve(strategy)
-    blocks, g, w = _band_blocks(x, y)
+    blocks, g = _band_blocks(x, y)
     for i in range(len(blocks) - 1, -1, -1):
         block = blocks[i]
         if i + 1 < len(blocks):
-            short_acc_ragged(block, g, blocks[i + 1], w, True, strategy)
+            short_acc(block, g, blocks[i + 1], True, strategy)
         tri_toeplitz_solve_overplace(x.sub(0, len(block)), block, "upper", strategy)

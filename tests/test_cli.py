@@ -130,7 +130,12 @@ def test_exit_code_parse_errors(tmp_path, capsys):
     assert main(["rem", str(tmp_path / "missing.poly"), ok]) == 2
     noncanon = write(tmp_path / "nc.poly", "7\n9 1\n")
     assert main(["rem", noncanon, ok]) == 2
+    binary = tmp_path / "bin.poly"
+    binary.write_bytes(b"7\n1 \xff 2\n")
     capsys.readouterr()
+    assert main(["rem", str(binary), ok]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_flags_only_on_the_commands_that_read_them(tmp_path, capsys):

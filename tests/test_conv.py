@@ -14,7 +14,6 @@ from ffpoly import (
     measure,
     poly_region,
     short_acc,
-    short_acc_ragged,
     snapshot,
 )
 from ffpoly.reference import ref_convolution, ref_mul
@@ -222,18 +221,24 @@ def test_exhaustive_small_sweep_over_gf2():
 
 
 def test_short_acc_costs_a_triangle_of_products():
-    # S(n) = M(ceil(n/2)) + 2 S(floor(n/2)) sums to the n(n+1)/2 pairs
-    # i + j < n under Schoolbook, at every threshold
+    # under Schoolbook, at every threshold, each pair (i, j) with i < la,
+    # j < lb and i + j < n costs one mul and one add: n(n+1)/2 for square
+    # operands, S(n) = M(ceil(n/2)) + 2 S(floor(n/2)), and as many for
+    # ragged ones
     rng = random.Random(0x5A)
     for p in (2, 65521):
         f = field(p)
         for thr in (1, 4, 16):
             for n in range(1, 81):
-                a, b, c = (poly_region(f, rand_coeffs(rng, p, n)) for _ in range(3))
-                with measure(f) as sc:
-                    short_acc(c, a, b, strategy=Schoolbook(thr))
-                pairs = n * (n + 1) // 2
-                assert (sc.adds, sc.muls, sc.divs) == (pairs, pairs, 0), (p, thr, n)
+                shapes = ((n, n), (rng.randrange(0, n + 9), rng.randrange(0, n + 9)))
+                for la, lb in shapes:
+                    a = poly_region(f, rand_coeffs(rng, p, la))
+                    b = poly_region(f, rand_coeffs(rng, p, lb))
+                    c = poly_region(f, rand_coeffs(rng, p, n))
+                    with measure(f) as sc:
+                        short_acc(c, a, b, strategy=Schoolbook(thr))
+                    pairs = sum(max(0, min(lb, n - i)) for i in range(min(la, n)))
+                    assert (sc.adds, sc.muls, sc.divs) == (pairs, pairs, 0), (p, thr, n, la, lb)
 
 
 def test_truncated_product_leaves_operands_when_the_depth_guard_raises():
@@ -259,7 +264,7 @@ def test_truncated_product_leaves_operands_when_the_depth_guard_raises():
         assert raised >= 2, p
 
 
-def test_short_acc_ragged_matches_truncated_product():
+def test_short_acc_matches_truncated_product_for_any_lengths():
     rng = random.Random(0xAB)
     for p in (2, 5, 13, 65521):
         for _ in range(400):
@@ -271,8 +276,8 @@ def test_short_acc_ragged_matches_truncated_product():
             ra, rb, rc = region_of(p, a), region_of(p, b), region_of(p, c)
             snap = snapshot(ra, rb)
             neg = rng.random() < 0.3
-            short_acc_ragged(rc, ra, rb, negate=neg,
-                             strategy=Schoolbook(rng.choice(THRESHOLDS)))
+            short_acc(rc, ra, rb, negate=neg,
+                      strategy=Schoolbook(rng.choice(THRESHOLDS)))
             prod = ref_mul(a, b, p) + [0] * n
             sign = -1 if neg else 1
             want = [(x + sign * y) % p for x, y in zip(c, prod)]

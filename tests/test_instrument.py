@@ -9,6 +9,7 @@ from ffpoly import (
     measure,
     measure_call,
     poly_region,
+    tri_toeplitz_mul_overplace,
 )
 
 from conftest import field, rand_coeffs
@@ -80,6 +81,30 @@ def test_depth_ceiling_trips():
     with pytest.raises(GuardViolation):
         with measure(f, max_depth=1):
             conv_acc(c, a, b, 1, strategy=Schoolbook(2))
+
+
+def test_keyword_calls_are_tracked():
+    # the scope finds the field through keyword arguments too, so a
+    # keyword call has the depth of its positional twin and the depth
+    # ceiling stops it
+    import random
+
+    f = field(65521)
+    rng = random.Random(5)
+    a, b, c = (poly_region(f, rand_coeffs(rng, f.p, 64)) for _ in range(3))
+    t, y = (poly_region(f, [1] + rand_coeffs(rng, f.p, 7)) for _ in range(2))
+    calls = ((lambda: conv_acc(c, a, b, 0), lambda: conv_acc(c=c, a=a, b=b, f=0)),
+             (lambda: tri_toeplitz_mul_overplace(t, y, "upper"),
+              lambda: tri_toeplitz_mul_overplace(a=t, b=y, orientation="upper")))
+    for positional, keyword in calls:
+        with measure(f) as pos:
+            positional()
+        with measure(f) as kw:
+            keyword()
+        assert kw.peak_depth == pos.peak_depth > 0
+        with pytest.raises(GuardViolation):
+            with measure(f, max_depth=0):
+                keyword()
 
 
 def test_scopes_do_not_nest():

@@ -198,6 +198,8 @@ def test_counts_pin_the_band_tiling():
     with measure(field(p)) as scope:
         mulmod_acc(r, ra, rc, rb, strategy=Schoolbook(16))
     assert (scope.adds, scope.muls, scope.divs) == (16112, 17136, 32)
+    # mulmod_acc -> banded routine -> base-case block or coupling
+    assert scope.peak_depth == 3
 
 
 def test_degree_constraint_and_leading_checks():
