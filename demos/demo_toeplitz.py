@@ -37,9 +37,9 @@ square_toeplitz_acc(c, poly_region(F7, [1]), poly_region(F7, [2, 3]),
                     poly_region(F7, [1, 1]))
 print("square Toeplitz:  ", c.to_list())
 
-# Rectangular shapes peel square blocks while both sides exceed the
-# strategy threshold and finish the strip left row by row: a 3x2 from
-# [1, 2, 3, 4] is [[3, 4], [2, 3], [1, 2]], three dot products.
+# Any rectangular shape is one middle product of the defining vector and
+# b, written into reversed c: a 3x2 from [1, 2, 3, 4] is
+# [[3, 4], [2, 3], [1, 2]], three dot products.
 F5 = Field(5)
 vec = poly_region(F5, [1, 2, 3, 4])
 print("dense 3x2:        ", ref_dense_toeplitz([1, 2, 3, 4], 3, 2))

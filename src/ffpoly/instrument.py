@@ -14,6 +14,12 @@ block.  While attached:
 
 Counters are deterministic functions of the operation and its operand
 shapes; no kernel short-circuits on operand values.
+
+An exceeded ceiling does not stop the computation: the scope keeps the
+first violation, and `measure` raises it as `GuardViolation` when the
+block closes.  So a guard never leaves a call half done, with its regions
+rescaled or coupled.  The trade-off: an aux ceiling no longer stops an
+allocation partway through a call; it still fails the scope.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ class Scope:
     """Live measurement state; see module docstring."""
 
     __slots__ = ("adds", "muls", "divs", "aux", "peak_aux", "depth",
-                 "peak_depth", "max_aux", "max_depth")
+                 "peak_depth", "max_aux", "max_depth", "violation")
 
     def __init__(self, max_aux=None, max_depth=None):
         self.adds = 0
@@ -73,6 +79,7 @@ class Scope:
         self.peak_depth = 0
         self.max_aux = max_aux
         self.max_depth = max_depth
+        self.violation = None    # first ceiling exceeded, raised by `measure`
 
     def count(self, adds=0, muls=0, divs=0):
         self.adds += adds
@@ -84,19 +91,23 @@ class Scope:
         if self.aux > self.peak_aux:
             self.peak_aux = self.aux
             if self.max_aux is not None and self.peak_aux > self.max_aux:
-                raise GuardViolation(
-                    f"auxiliary allocation {self.peak_aux} exceeds ceiling {self.max_aux}")
+                self._violate(f"auxiliary allocation {self.peak_aux} "
+                              f"exceeds ceiling {self.max_aux}")
 
     def enter(self):
         self.depth += 1
         if self.depth > self.peak_depth:
             self.peak_depth = self.depth
             if self.max_depth is not None and self.peak_depth > self.max_depth:
-                raise GuardViolation(
-                    f"recursion depth {self.peak_depth} exceeds ceiling {self.max_depth}")
+                self._violate(f"recursion depth {self.peak_depth} "
+                              f"exceeds ceiling {self.max_depth}")
 
     def leave(self):
         self.depth -= 1
+
+    def _violate(self, message: str):
+        if self.violation is None:
+            self.violation = GuardViolation(message)
 
     @property
     def counter(self) -> OpCounter:
@@ -115,7 +126,9 @@ class Scope:
 def measure(field, max_aux=None, max_depth=None):
     """Attach a fresh Scope to `field` for the duration of the block.
 
-    Scopes do not nest: attaching over an existing scope is an error.
+    Scopes do not nest: attaching over an existing scope is an error.  A
+    ceiling exceeded inside the block raises `GuardViolation` once the
+    block has finished, not at the operation that exceeded it.
     """
     if field.scope is not None:
         raise RuntimeError("measurement scopes do not nest")
@@ -125,6 +138,8 @@ def measure(field, max_aux=None, max_depth=None):
         yield scope
     finally:
         field.scope = None
+    if scope.violation is not None:
+        raise scope.violation
 
 
 def measure_call(field, fn, *args, **kwargs):

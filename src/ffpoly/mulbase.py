@@ -1,11 +1,11 @@
 """Accumulating polynomial multiplication and the quadratic baselines.
 
 The multiplication building block is pluggable: anything honouring the
-`MulStrategy` contract (accumulate c += a*b restoring a and b exactly,
-O(1) auxiliary space beyond an O(log n) call stack) can drive the rest of
-the library.  The default is the schoolbook kernel, which is trivially
-in-place for both the full and the truncated accumulation: one strided
-multiply-accumulate (`region._mac`) per output coefficient.
+`MulStrategy` contract (accumulate full, truncated and middle products
+onto c, restoring the operands exactly, O(1) auxiliary space beyond an
+O(log n) call stack) can drive the rest of the library.  The default is
+the schoolbook kernel, which is trivially in-place for all three: one
+strided multiply-accumulate (`region._mac`) per output coefficient.
 
 Also here: over-place dense triangular matrix-vector multiply/solve and
 the quadratic polynomial remainder, used as reference base cases.  Every
@@ -42,10 +42,13 @@ def _divisor_degree(b: CoeffRegion) -> int:
 class MulStrategy:
     """Interface of an accumulating multiplication routine.
 
-    threshold: length at or below which callers should switch to their
-    quadratic base case.  `acc_mul_short(c, a, b, n)` accumulates
-    a*b mod X^n onto c[0:n] for operands of any lengths, ignoring their
-    coefficients at or above X^n.
+    Each method adds a product onto c (subtracts it, when negate) and
+    restores its operands exactly: `acc_mul_full(c, a, b)` all of a*b;
+    `acc_mul_short(c, a, b, n)` a*b mod X^n onto c[0:n], for operands of
+    any lengths; `acc_mul_middle(c, x, y)` the middle product, c[i] +=
+    sum_{j < len y} x[i+j]*y[j] with len x = len c + len y - 1, which is
+    any Toeplitz matrix-vector product.  threshold: length at or below
+    which callers should switch to their quadratic base case.
     """
 
     name = "abstract"
@@ -57,9 +60,12 @@ class MulStrategy:
     def acc_mul_short(self, c, a, b, n, negate=False):
         raise NotImplementedError
 
+    def acc_mul_middle(self, c, x, y, negate=False):
+        raise NotImplementedError
+
 
 class Schoolbook(MulStrategy):
-    """Quadratic accumulating multiplication; exactly la*lb muls and adds."""
+    """Quadratic accumulating products; one mul and one add per pair multiplied."""
 
     name = "schoolbook"
 
@@ -92,6 +98,15 @@ class Schoolbook(MulStrategy):
             q = max(0, min(la, n - lb + 1))
             pairs = q * lb + (la - q) * n - (la * (la - 1) - q * (q - 1)) // 2
             scope.count(adds=pairs, muls=pairs)
+
+    def acc_mul_middle(self, c, x, y, negate=False):
+        lc, ly = len(c), len(y)
+        t = -1 if negate else 1
+        for i in range(lc):
+            _mac(c, i, 1, t, x, i, y, 0, ly)
+        scope = x.field.scope
+        if scope is not None:
+            scope.count(adds=lc * ly, muls=lc * ly)
 
 
 def _acc_columns(c, a, b, la, lb, kmax, t):

@@ -3,10 +3,11 @@
 Matrices are never materialized: every operation works from the defining
 coefficient vector (a region) plus shape data, and every mirror image is
 an O(1) reversed view.  Circ_f(a) . b = reverse(conv_f(a, reverse(b))).
-A square Toeplitz block is two truncated products on views, one per
-triangle; a rectangular one peels squares while both sides exceed the
-strategy threshold and finishes the strip left row by row.  Over-place
-triangular multiply and solve recurse on halves of the upper matrix only.
+A rows x cols Toeplitz product is one middle product of the defining
+vector and b, written into reversed c (`MulStrategy.acc_mul_middle`); a
+square block given by its two triangles is two truncated products on
+views.  Over-place triangular multiply and solve recurse on halves of the
+upper matrix only, the off-diagonal block being one middle product.
 A banded upper-triangular Toeplitz matrix of band width k is block
 bidiagonal over blocks of width k - 1: the banded multiply and solve are
 one sweep of triangular blocks coupled by truncated products.  Euclidean
@@ -96,30 +97,15 @@ def rect_toeplitz_acc(c: CoeffRegion, view: ToeplitzView, b: CoeffRegion,
                       negate: bool = False, strategy: MulStrategy | None = None) -> None:
     """c += T . b for a rectangular Toeplitz T; c, T's vector and b disjoint.
 
-    While both sides exceed the strategy threshold, a loop peels the top
-    (tall T) or leading (wide T) square; the strip left is finished row by
-    row, one dot product per row, so no aspect ratio costs stack.
+    Row i is sum_j vec[rows-1-i+j] * b[j], so reversed c gains the middle
+    product of vec and b: one strategy call for every aspect ratio
+    (Hanrot, Quercia & Zimmermann, AAECC 2004).
     """
-    strategy = _resolve(strategy)
-    vec = view.vec
     m, n = view.rows, view.cols
     if len(c) != m or len(b) != n:
         raise LengthMismatch(f"need lengths ({m}, {n}), got ({len(c)}, {len(b)})")
-    _check_disjoint(c, vec, b)
-    while min(m, n) > strategy.threshold:
-        s = min(m, n)
-        square_toeplitz_acc(c.sub(0, s), vec.sub(m - s, m - 1), vec.sub(m - 1, m + s - 1),
-                            b.sub(0, s), negate, strategy)
-        if m >= n:
-            c, vec, m = c.sub(s, m), vec.sub(0, m - 1), m - s
-        else:
-            vec, b, n = vec.sub(s, m + n - 1), b.sub(s, n), n - s
-    t = -1 if negate else 1
-    for i in range(m):
-        _mac(c, i, 1, t, vec, m - 1 - i, b, 0, n)
-    scope = c.field.scope
-    if scope is not None:
-        scope.count(adds=m * n, muls=m * n)
+    _check_disjoint(c, view.vec, b)
+    _resolve(strategy).acc_mul_middle(c.reversed(), view.vec, b, negate)
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +162,9 @@ def tri_toeplitz_mul_overplace(a: CoeffRegion, b: CoeffRegion, orientation: str,
                                strategy: MulStrategy | None = None) -> None:
     """b <- T . b for the triangular Toeplitz T defined by a; a restored.
 
-    Halving recursion: the off-diagonal block is a rectangular Toeplitz
-    accumulation, the two diagonal blocks recurse, and below the strategy
-    threshold a quadratic sweep finishes in place.
+    Halving recursion: the off-diagonal block is one middle product, the
+    two diagonal blocks recurse, and below the strategy threshold a
+    quadratic sweep finishes in place.
     """
     strategy = _resolve(strategy)
     a, b = _as_upper(a, b, orientation)
@@ -191,8 +177,7 @@ def tri_toeplitz_mul_overplace(a: CoeffRegion, b: CoeffRegion, orientation: str,
     k = (m + 1) // 2
     b1, b2 = b.sub(0, k), b.sub(k, m)
     tri_toeplitz_mul_overplace(a.sub(0, k), b1, "upper", strategy)
-    rect_toeplitz_acc(b1, ToeplitzView(a.sub(1, m), k, m - k), b2,
-                      strategy=strategy)
+    strategy.acc_mul_middle(b1.reversed(), a.sub(1, m), b2)
     tri_toeplitz_mul_overplace(a.sub(0, m - k), b2, "upper", strategy)
 
 
@@ -217,8 +202,7 @@ def tri_toeplitz_solve_overplace(a: CoeffRegion, b: CoeffRegion, orientation: st
     k = (m + 1) // 2
     b1, b2 = b.sub(0, k), b.sub(k, m)
     tri_toeplitz_solve_overplace(a.sub(0, m - k), b2, "upper", strategy)
-    rect_toeplitz_acc(b1, ToeplitzView(a.sub(1, m), k, m - k), b2,
-                      negate=True, strategy=strategy)
+    strategy.acc_mul_middle(b1.reversed(), a.sub(1, m), b2, True)
     tri_toeplitz_solve_overplace(a.sub(0, k), b1, "upper", strategy)
 
 

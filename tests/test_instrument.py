@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ffpoly import (
@@ -6,13 +8,15 @@ from ffpoly import (
     Schoolbook,
     acc_mul_full,
     conv_acc,
+    divmod_over_place,
     measure,
     measure_call,
+    mulmod_acc_full,
     poly_region,
     tri_toeplitz_mul_overplace,
 )
 
-from conftest import field, rand_coeffs
+from conftest import field, rand_coeffs, rand_monic_tail
 
 
 def test_schoolbook_counts_are_definitional():
@@ -105,6 +109,66 @@ def test_keyword_calls_are_tracked():
         with pytest.raises(GuardViolation):
             with measure(f, max_depth=0):
                 keyword()
+
+
+class _BorrowingSchoolbook(Schoolbook):
+    """Schoolbook that acquires one scratch cell in every kernel call."""
+
+    def acc_mul_full(self, c, a, b, negate=False):
+        Buffer.zeros(a.field, 1)
+        super().acc_mul_full(c, a, b, negate)
+
+    def acc_mul_short(self, c, a, b, n, negate=False):
+        Buffer.zeros(a.field, 1)
+        super().acc_mul_short(c, a, b, n, negate)
+
+    def acc_mul_middle(self, c, x, y, negate=False):
+        Buffer.zeros(x.field, 1)
+        super().acc_mul_middle(c, x, y, negate)
+
+
+def _guard_case(name, p):
+    # (operand coefficients, call on their regions) of one guarded call
+    rng = random.Random(name)
+    if name.startswith("conv"):
+        _, f, n = name.split("-")
+        return ([rand_coeffs(rng, p, int(n)) for _ in range(3)],
+                lambda c, a, b, s: conv_acc(c, a, b, int(f), strategy=s))
+    b = rand_monic_tail(rng, p, 32)
+    if name == "divmod":
+        return ([rand_coeffs(rng, p, 200), b],
+                lambda a, b, s: divmod_over_place(a, b, s))
+    return ([[0] * 32, rand_monic_tail(rng, p, 150), rand_monic_tail(rng, p, 120), b],
+            lambda r, a, c, b, s: mulmod_acc_full(r, a, c, b, s))
+
+
+GUARD_CASES = [f"conv-{f}-{n}" for f in range(4) for n in (64, 63)] + ["divmod", "mulmod"]
+
+
+@pytest.mark.parametrize("name", GUARD_CASES)
+def test_guard_violation_raises_after_the_call_completes(name):
+    # a ceiling exceeded anywhere inside the call fails the scope when it
+    # closes, and every region equals the unguarded run: no call is left
+    # half done with its operands rescaled or coupled
+    f = field(65521)
+    coeffs, call = _guard_case(name, f.p)
+
+    def run(strategy, **ceilings):
+        regions = [poly_region(f, list(x)) for x in coeffs]
+        with measure(f, **ceilings) as scope:
+            call(*regions, strategy)
+        return [r.to_list() for r in regions], scope
+
+    want, scope = run(Schoolbook(16))
+    assert scope.peak_depth >= 2
+    ceilings = [(Schoolbook(16), {"max_depth": k}) for k in range(scope.peak_depth)]
+    ceilings.append((_BorrowingSchoolbook(16), {"max_aux": 0}))
+    for strategy, ceiling in ceilings:
+        regions = [poly_region(f, list(x)) for x in coeffs]
+        with pytest.raises(GuardViolation):
+            with measure(f, **ceiling):
+                call(*regions, strategy)
+        assert [r.to_list() for r in regions] == want, ceiling
 
 
 def test_scopes_do_not_nest():

@@ -9,6 +9,7 @@ from ffpoly import (
     SingularDiagonal,
     SplitTarget,
     TargetTooShort,
+    ToeplitzView,
     acc_mul_full,
     acc_mul_short,
     measure,
@@ -16,7 +17,10 @@ from ffpoly import (
     quad_rem_overplace,
     quad_tri_mul_overplace,
     quad_tri_solve_overplace,
+    rect_toeplitz_acc,
     snapshot,
+    tri_toeplitz_mul_overplace,
+    tri_toeplitz_solve_overplace,
 )
 from ffpoly.reference import ref_divmod, ref_matvec, ref_mul, ref_rem, ref_solve_upper
 
@@ -121,6 +125,86 @@ def test_acc_mul_short_matches_truncated_oracle():
             prod = ref_mul(a, b, p) + [0] * n
             want = [(x + y) % p for x, y in zip(c, prod)]
             assert rc.to_list() == want
+
+
+def _region_view(p, coeffs, reverse):
+    """A region reading coeffs, through a reversed view when asked."""
+    r = region_of(p, coeffs[::-1] if reverse else coeffs)
+    return r.reversed() if reverse else r
+
+
+def test_acc_mul_middle_matches_oracle():
+    # c[i] += sum_{j < len y} x[i+j]*y[j], len x = len c + len y - 1, on
+    # forward and reversed views: len c * len y adds and muls, x and y
+    # restored; the first shapes have an empty c or y
+    rng = random.Random(37)
+    for p in (2, 65521):
+        f = field(p)
+        for trial in range(300):
+            if trial < 4:
+                lc, ly = ((0, 7), (7, 0), (0, 1), (1, 0))[trial]
+            else:
+                lc = rng.randrange(0, 20)
+                ly = rng.randrange(0 if lc else 1, 20)
+            x, y, c = (rand_coeffs(rng, p, k) for k in (lc + ly - 1, ly, lc))
+            rx, ry, rc = (_region_view(p, v, rng.random() < 0.5) for v in (x, y, c))
+            neg = rng.random() < 0.5
+            snap = snapshot(rx, ry)
+            with measure(f) as scope:
+                Schoolbook().acc_mul_middle(rc, rx, ry, neg)
+            sign = -1 if neg else 1
+            want = [(c[i] + sign * sum(x[i + j] * y[j] for j in range(ly))) % p
+                    for i in range(lc)]
+            assert rc.to_list() == want, (p, lc, ly, neg)
+            assert (scope.adds, scope.muls, scope.divs) == (lc * ly, lc * ly, 0)
+            snap.assert_restored()
+
+
+class _CountingSchoolbook(Schoolbook):
+    """Schoolbook recording (len c, len y, negate) of each middle product."""
+
+    def __init__(self, threshold):
+        super().__init__(threshold)
+        self.middle = []
+
+    def acc_mul_middle(self, c, x, y, negate=False):
+        self.middle.append((len(c), len(y), negate))
+        super().acc_mul_middle(c, x, y, negate)
+
+
+def _off_diagonal_blocks(m, threshold, solve):
+    """Off-diagonal blocks of the triangular halving recursion, in call order."""
+    if m <= threshold:
+        return []
+    k = (m + 1) // 2
+    first, second = (m - k, k) if solve else (k, m - k)
+    return (_off_diagonal_blocks(first, threshold, solve) + [(k, m - k, solve)]
+            + _off_diagonal_blocks(second, threshold, solve))
+
+
+@pytest.mark.parametrize("threshold", [1, 2, 4, 16])
+def test_toeplitz_blocks_are_one_strategy_middle_product_each(threshold):
+    # the strategy argument is honoured: every rectangular product and every
+    # off-diagonal block of the triangular recursion is exactly one call
+    rng = random.Random(threshold)
+    p = 65521
+    for m, n in ((1, 40), (17, 17), (100, 33), (33, 100)):
+        vec, b, c = (region_of(p, rand_coeffs(rng, p, k)) for k in (m + n - 1, n, m))
+        strategy = _CountingSchoolbook(threshold)
+        rect_toeplitz_acc(c, ToeplitzView(vec, m, n), b, True, strategy)
+        assert strategy.middle == [(m, n, True)]
+    for m in (5, 40, 77):
+        for orientation in ("lower", "upper"):
+            a = [1] + rand_coeffs(rng, p, m - 1)
+            b0 = rand_coeffs(rng, p, m)
+            ra = region_of(p, a if orientation == "upper" else a[::-1])
+            rb = region_of(p, b0)
+            for solve, fn in ((False, tri_toeplitz_mul_overplace),
+                              (True, tri_toeplitz_solve_overplace)):
+                strategy = _CountingSchoolbook(threshold)
+                fn(ra, rb, orientation, strategy)
+                assert strategy.middle == _off_diagonal_blocks(m, threshold, solve)
+            assert rb.to_list() == b0, (m, orientation)
 
 
 def test_quad_tri_worked_examples():

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-import ffpoly.toeplitz as toeplitz_module
 from ffpoly import (
     AliasedOperands,
     Buffer,
@@ -16,7 +15,6 @@ from ffpoly import (
     circulant_acc,
     measure,
     measure_call,
-    mulmod_acc_full,
     poly_region,
     rect_toeplitz_acc,
     snapshot,
@@ -302,11 +300,12 @@ def test_zero_auxiliary_space():
         tri_toeplitz_solve_overplace(a, b, "upper")
 
 
-@pytest.mark.parametrize("m, n", [(1, 40), (40, 1), (16, 33), (33, 16)])
+@pytest.mark.parametrize("m, n", [(1, 40), (40, 1), (16, 33), (33, 16),
+                                  (17, 17), (40, 40), (100, 33), (33, 100)])
 @pytest.mark.parametrize("neg", [False, True])
 def test_rect_strip_is_one_quadratic_base_case(m, n, neg):
-    # min(m, n) at the threshold: no square is peeled, one dot product per
-    # row, exactly m*n adds and muls and no tracked sub-call
+    # every shape, at, below or above the threshold, is one middle product:
+    # exactly m*n adds and muls and no tracked sub-call
     f = field(65521)
     rng = random.Random(m * 100 + n)
     vec = rand_coeffs(rng, f.p, m + n - 1)
@@ -321,38 +320,6 @@ def test_rect_strip_is_one_quadratic_base_case(m, n, neg):
     assert (scope.adds, scope.muls, scope.divs) == (m * n, m * n, 0)
     assert scope.peak_depth == 1
     assert rv.to_list() == vec and rb.to_list() == b
-
-
-def _count_square_calls(monkeypatch):
-    calls = []
-    inner = toeplitz_module.square_toeplitz_acc
-
-    def counting(*args, **kwargs):
-        calls.append(len(args[0]))
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(toeplitz_module, "square_toeplitz_acc", counting)
-    return calls
-
-
-def test_blocks_at_the_threshold_peel_no_squares(monkeypatch):
-    calls = _count_square_calls(monkeypatch)
-    f = field(65521)
-    rng = random.Random(77)
-
-    def rand_region(n, lead=()):
-        return poly_region(f, rand_coeffs(rng, f.p, n) + list(lead))
-
-    # control: a square above the threshold is one peeled block
-    rect_toeplitz_acc(rand_region(17), ToeplitzView(rand_region(33), 17, 17), rand_region(17))
-    assert calls == [17]
-    calls.clear()
-    tri_toeplitz_mul_overplace(rand_region(16, [1]), rand_region(17), "upper")
-    assert calls == []
-    # the narrow mulmod shape (deg a, deg c, deg b) = (16, 1023, 16)
-    mulmod_acc_full(poly_region(f, [0] * 16), rand_region(16, [1]),
-                    rand_region(1023, [1]), rand_region(16, [1]))
-    assert calls == []
 
 
 @pytest.mark.parametrize("m", [8, 40])
