@@ -15,6 +15,7 @@ from .region import (
 )
 from .instrument import AllocGuard, GuardViolation, OpCounter, Scope, measure, measure_call
 from .mulbase import (
+    LengthMismatch,
     MulStrategy,
     NonInvertibleLeading,
     Schoolbook,
@@ -30,7 +31,6 @@ from .mulbase import (
 )
 from .conv import (
     BadParameter,
-    LengthMismatch,
     conv_acc,
     conv_even_f,
     conv_split_f,
@@ -66,11 +66,11 @@ __all__ = [
     # instrument
     "AllocGuard", "GuardViolation", "OpCounter", "Scope", "measure", "measure_call",
     # mulbase
-    "MulStrategy", "NonInvertibleLeading", "Schoolbook", "SingularDiagonal",
+    "LengthMismatch", "MulStrategy", "NonInvertibleLeading", "Schoolbook", "SingularDiagonal",
     "TargetTooShort", "acc_mul_full", "acc_mul_short", "default_strategy", "quad_rem",
     "quad_rem_overplace", "quad_tri_mul_overplace", "quad_tri_solve_overplace",
     # conv
-    "BadParameter", "LengthMismatch", "conv_acc", "conv_even_f", "conv_split_f",
+    "BadParameter", "conv_acc", "conv_even_f", "conv_split_f",
     "short_acc",
     # toeplitz
     "CirculantView", "ToeplitzView", "banded_upper_mul_overplace",

@@ -19,13 +19,9 @@ truncated ones, and writes nothing but c.
 from __future__ import annotations
 
 from .instrument import tracked
-from .mulbase import MulStrategy, _resolve, acc_mul_full
+from .mulbase import LengthMismatch, MulStrategy, _resolve, acc_mul_full
 from .region import (
     CoeffRegion, SplitTarget, _check_disjoint, _mac, vec_addmul, vec_iadd, vec_scale)
-
-
-class LengthMismatch(ValueError):
-    """Operand regions do not have the required lengths."""
 
 
 class BadParameter(ValueError):

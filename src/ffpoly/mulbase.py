@@ -23,6 +23,10 @@ class TargetTooShort(ValueError):
     """Accumulation target cannot hold the product."""
 
 
+class LengthMismatch(ValueError):
+    """Operand regions do not have the required lengths."""
+
+
 class SingularDiagonal(ZeroDivisionError):
     """Triangular solve hit a zero diagonal entry."""
 
@@ -46,8 +50,9 @@ class MulStrategy:
     restores its operands exactly: `acc_mul_full(c, a, b)` all of a*b;
     `acc_mul_short(c, a, b, n)` a*b mod X^n onto c[0:n], for operands of
     any lengths; `acc_mul_middle(c, x, y)` the middle product, c[i] +=
-    sum_{j < len y} x[i+j]*y[j] with len x = len c + len y - 1, which is
-    any Toeplitz matrix-vector product.  threshold: length at or below
+    sum_{j < len y} x[i+j]*y[j] with len x = len c + len y - 1 (else
+    `LengthMismatch`, before any write), which is any Toeplitz
+    matrix-vector product.  threshold: length at or below
     which callers should switch to their quadratic base case.
     """
 
@@ -101,6 +106,8 @@ class Schoolbook(MulStrategy):
 
     def acc_mul_middle(self, c, x, y, negate=False):
         lc, ly = len(c), len(y)
+        if len(x) != max(lc + ly - 1, 0):
+            raise LengthMismatch(f"middle product needs len x = {lc} + {ly} - 1, got {len(x)}")
         t = -1 if negate else 1
         for i in range(lc):
             _mac(c, i, 1, t, x, i, y, 0, ly)

@@ -13,12 +13,15 @@ This is the only module that knows how coefficients are stored.  Every
 arithmetic loop over storage is one of three strided kernels below --
 `_mac` (multiply-accumulate one output by a dot product of two windows),
 `_axpy` and `_scale` -- and the quadratic kernels of the other modules are
-short loops of calls to them.  None of them allocates.
+short loops of calls to them.  `_axpy` and `_scale` allocate nothing;
+`_mac` sums a long window over slices of at most `_CHUNK` coefficients,
+so its temporaries are bounded by a constant whatever the window length.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from operator import mul
 
 from .ff import Field, FieldError
 
@@ -233,16 +236,24 @@ def snapshot(*regions) -> Snapshot:
 
 # ---------------------------------------------------------------------------
 # Strided kernels: the only loops over coefficient storage.  Each primitive
-# works on logical windows of regions, reduces once per output coefficient,
-# counts nothing and allocates nothing; the callers report their
-# structural operation counts in bulk.  A window that reaches past a
-# region's coefficients raises `VirtualWrite`.
+# works on logical windows of regions, reduces once per output coefficient
+# and counts nothing; the callers report their structural operation counts
+# in bulk.  A window that reaches past a region's coefficients raises
+# `VirtualWrite`.
+
+_SHORT = 16     # longest dot product that `_mac` sums by an index loop
+_CHUNK = 128    # longest slice `_mac` takes of an operand
+
 
 def _mac(dst: CoeffRegion, k: int, s: int, t: int,
          a: CoeffRegion, i: int, b: CoeffRegion, j: int, n: int) -> None:
     """dst[k] <- s*dst[k] + t*sum_{u<n} a[i+u]*b[j+u].
 
-    The sum is read before dst[k] is written, so dst may lie inside a or b.
+    A window of more than `_SHORT` coefficients is summed as
+    `sum(map(mul, ...))` over slices of at most `_CHUNK` coefficients of
+    each operand, which are its only temporaries; a shorter one by an index
+    loop, which is faster there.  The sum is read before dst[k] is written,
+    so dst may lie inside a or b.
     """
     if (k < 0 or i < 0 or j < 0
             or k >= dst.length or i + n > a.length or j + n > b.length):
@@ -254,10 +265,21 @@ def _mac(dst: CoeffRegion, k: int, s: int, t: int,
     sb = b.step
     ib = b.start + j * sb
     acc = 0
-    for _ in range(n):
-        acc += da[ia] * db[ib]
-        ia += sa
-        ib += sb
+    if n <= _SHORT:
+        for _ in range(n):
+            acc += da[ia] * db[ib]
+            ia += sa
+            ib += sb
+    else:
+        while n > 0:
+            c = _CHUNK if n > _CHUNK else n
+            ea = ia + c * sa
+            eb = ib + c * sb
+            # a reversed window ending at physical index 0 stops at -1,
+            # which as a slice end means "the last element"
+            acc += sum(map(mul, da[ia:ea if ea >= 0 else None:sa],
+                           db[ib:eb if eb >= 0 else None:sb]))
+            ia, ib, n = ea, eb, n - c
     dd = dst.buf.data
     kk = dst.start + k * dst.step
     dd[kk] = (s * dd[kk] + t * acc) % dst.buf.field.p

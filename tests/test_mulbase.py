@@ -4,6 +4,7 @@ import pytest
 
 from ffpoly import (
     Buffer,
+    LengthMismatch,
     NonInvertibleLeading,
     Schoolbook,
     SingularDiagonal,
@@ -158,6 +159,19 @@ def test_acc_mul_middle_matches_oracle():
             assert rc.to_list() == want, (p, lc, ly, neg)
             assert (scope.adds, scope.muls, scope.divs) == (lc * ly, lc * ly, 0)
             snap.assert_restored()
+
+
+def test_acc_mul_middle_rejects_a_wrong_x_before_writing():
+    # len x must be len c + len y - 1: too short and too long both raise,
+    # with c, x and y untouched
+    p = 65521
+    for lc, lx in ((4, 5), (2, 9), (0, 3), (4, 0)):
+        c, x, y = region_of(p, [0] * lc), region_of(p, [1] * lx), region_of(p, [1] * 3)
+        snap = snapshot(c, x, y)
+        with pytest.raises(LengthMismatch):
+            Schoolbook().acc_mul_middle(c, x, y)
+        snap.assert_restored()
+    assert issubclass(LengthMismatch, ValueError)
 
 
 class _CountingSchoolbook(Schoolbook):

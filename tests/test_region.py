@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,8 @@ from ffpoly import (
     snapshot,
     split_blocks,
 )
-from ffpoly.region import _axpy, _mac, _scale, vec_addmul, vec_copy, vec_iadd, vec_negate, vec_scale
+from ffpoly.region import (
+    _CHUNK, _axpy, _mac, _scale, vec_addmul, vec_copy, vec_iadd, vec_negate, vec_scale)
 
 from conftest import field
 
@@ -267,6 +269,65 @@ def test_strided_kernels_match_list_formulas(p):
     for k in range(len(dst)):
         model[at_d(k)] = model[at_d(k)] * (p - 1) % p
     check()
+
+
+@pytest.mark.parametrize("p", [2, 65521, (1 << 61) - 1])
+def test_mac_matches_the_model_across_chunk_boundaries(p):
+    # Window lengths on both sides of the short-loop cutoff and of one and
+    # two slice chunks; reversed windows whose last coefficient is physical
+    # index 0; dst inside the window of a or of b, read before it is written.
+    rng = random.Random(p + 1)
+    size = 320
+    values = [rng.randrange(p) for _ in range(size)]
+    buf = Buffer(Field(p), values)
+    model = list(values)
+    windows = (
+        (buf.region(), lambda k: k),
+        (buf.region(7, size), lambda k: 7 + k),
+        (buf.region().reversed(), lambda k: size - 1 - k),
+        (buf.region(0, 310).reversed(), lambda k: 309 - k),
+        (buf.region(5, 315).reversed(), lambda k: 314 - k),
+    )
+    calls = 0
+    for n in (0, 1, 16, 17, 63, 64, 65, 127, 128, 129, 257, 300):
+        for (a, at_a), (b, at_b) in ((x, y) for x in windows for y in windows):
+            for i, j in ((len(a) - n, len(b) - n), (0, rng.randrange(len(b) - n + 1)),
+                         (rng.randrange(len(a) - n + 1), 0)):
+                mode = calls % 3
+                calls += 1
+                if mode == 0 and n:
+                    dst, at_d, k = a, at_a, i + rng.randrange(n)
+                elif mode == 1 and n:
+                    dst, at_d, k = b, at_b, j + rng.randrange(n)
+                else:
+                    dst, at_d = rng.choice(windows)
+                    k = rng.randrange(len(dst))
+                s, t = rng.randrange(p), rng.randrange(p)
+                dot = sum(model[at_a(i + u)] * model[at_b(j + u)] for u in range(n))
+                model[at_d(k)] = (s * model[at_d(k)] + t * dot) % p
+                _mac(dst, k, s, t, a, i, b, j, n)
+                assert buf.region().to_list() == model, (n, i, j, mode)
+
+
+def test_mac_temporaries_do_not_grow_with_the_window():
+    # One call's traced peak is its two chunk slices whatever the window
+    # length; a single slice of each operand at n = 32768 would be ~0.5 MB.
+    f = Field(65521)
+    rng = random.Random(11)
+    n_max = 32768
+    buf = Buffer(f, [rng.randrange(256, 65521) for _ in range(2 * n_max + 1)])
+    dst = buf.region(0, 1)
+    a, b = buf.region(1, n_max + 1), buf.region(n_max + 1, 2 * n_max + 1).reversed()
+    peaks = []
+    for n in (4 * _CHUNK, n_max):
+        _mac(dst, 0, 1, 1, a, 0, b, 0, n)
+        tracemalloc.start()
+        try:
+            _mac(dst, 0, 1, 1, a, 0, b, 0, n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[0] - peaks[1]) <= 512, peaks
 
 
 def test_strided_kernels_stay_on_real_coefficients():
