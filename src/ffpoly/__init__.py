@@ -7,7 +7,6 @@ from .region import (
     CoeffRegion,
     RestorationViolation,
     Snapshot,
-    SplitTarget,
     VirtualWrite,
     poly_region,
     snapshot,
@@ -62,7 +61,7 @@ __all__ = [
     "Field", "FieldError", "InversionOfZero", "is_prime",
     # region
     "AliasedOperands", "Buffer", "CoeffRegion", "RestorationViolation", "Snapshot",
-    "SplitTarget", "VirtualWrite", "poly_region", "snapshot", "split_blocks",
+    "VirtualWrite", "poly_region", "snapshot", "split_blocks",
     # instrument
     "AllocGuard", "GuardViolation", "OpCounter", "Scope", "measure", "measure_call",
     # mulbase

@@ -11,7 +11,10 @@ kept because it needs 3 products (0.75*n^2 muls under `Schoolbook`)
 against 4 (n^2).  Each wrapped variant splits its operands in halves and
 reduces to a constant number of full accumulating multiplications plus a
 linear number of scalar operations; its operands are freely mutated
-during a call but are always restored exactly.  The truncated product
+during a call but are always restored exactly.  A product that wraps
+round the end of c lands on one contiguous window after c is rotated in
+place (`vec_rotate`), and c is rotated back before the call returns, so
+every product target is a single region.  The truncated product
 splits in halves too, into one full product and two half-length
 truncated ones, and writes nothing but c.
 """
@@ -21,7 +24,7 @@ from __future__ import annotations
 from .instrument import tracked
 from .mulbase import LengthMismatch, MulStrategy, _resolve, acc_mul_full
 from .region import (
-    CoeffRegion, SplitTarget, _check_disjoint, _mac, vec_addmul, vec_iadd, vec_scale)
+    CoeffRegion, _check_disjoint, _mac, vec_addmul, vec_iadd, vec_rotate, vec_scale)
 
 
 class BadParameter(ValueError):
@@ -67,7 +70,10 @@ def conv_even_f(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, f: int,
 
     Three half-length products; the cross product reuses the space of the
     other two through an invertible rescaling of the two halves of c,
-    which is unwound in the closing steps.
+    which is unwound in the closing steps.  The first product lands on
+    [c0 | c1]; the other two land on [c1 | c0], which is c rotated by n/2.
+    c stays rotated from the second product through the third, so while
+    it is, the views c0 and c1 hold each other's halves.
     """
     strategy = _resolve(strategy)
     n = _check_triple(c, a, b)
@@ -87,17 +93,19 @@ def conv_even_f(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, f: int,
     vec_iadd(c1, c0)
     vec_scale(c1, field.inv(one_minus_f))
     vec_addmul(c0, f, c1)
-    acc_mul_full(SplitTarget(c0, c1), a0, b0, negate=negate, strategy=strategy)
+    acc_mul_full(c.sub(0, n - 1), a0, b0, negate=negate, strategy=strategy)
     vec_scale(c0, field.inv(f))
-    acc_mul_full(SplitTarget(c1, c0), a1, b1, negate=not negate, strategy=strategy)
-    vec_iadd(c0, c1, negate=True)
-    vec_scale(c1, one_minus_f)
-    vec_addmul(c1, f, c0, negate=True)
+    vec_rotate(c, t)        # from here to the rotation back, c0 holds c1 and c1 holds c0
+    acc_mul_full(c.sub(0, n - 1), a1, b1, negate=not negate, strategy=strategy)
+    vec_iadd(c1, c0, negate=True)
+    vec_scale(c0, one_minus_f)
+    vec_addmul(c0, f, c1, negate=True)
     vec_iadd(a0, a1)
     vec_iadd(b0, b1)
-    acc_mul_full(SplitTarget(c1, c0), a0, b0, negate=negate, strategy=strategy)
+    acc_mul_full(c.sub(0, n - 1), a0, b0, negate=negate, strategy=strategy)
     vec_iadd(b0, b1, negate=True)
     vec_iadd(a0, a1, negate=True)
+    vec_rotate(c, t)
     vec_scale(c0, f)
 
 
@@ -111,8 +119,10 @@ def conv_split_f(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, f: int,
     c[0:2t-1]; the high-high product, which wraps to X^(2t-n), is folded
     by scaling its a operand with f (and restoring it); the cross
     products wrap their tails into c[0:t-1), which is bracketed by a
-    divide/multiply with f.  For f = 1 every scaling is the identity and
-    is skipped, leaving four plain products.
+    divide/multiply with f.  Their target [c[t:n] | c[0:t-1]] is the head
+    of c rotated by t, so c is rotated for them and rotated back.  For
+    f = 1 every scaling is the identity and is skipped, leaving four plain
+    products.
     """
     strategy = _resolve(strategy)
     n = _check_triple(c, a, b)
@@ -135,9 +145,10 @@ def conv_split_f(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, f: int,
     if scaled:
         vec_scale(a1, inv_f)
         vec_scale(wrap, inv_f)
-    tail_target = SplitTarget(c.sub(t, n), wrap)
-    acc_mul_full(tail_target, a0, b1, negate=negate, strategy=strategy)
-    acc_mul_full(tail_target, a1, b0, negate=negate, strategy=strategy)
+    vec_rotate(c, t)
+    acc_mul_full(c.sub(0, n - 1), a0, b1, negate=negate, strategy=strategy)
+    acc_mul_full(c.sub(0, n - 1), a1, b0, negate=negate, strategy=strategy)
+    vec_rotate(c, n - t)
     if scaled:
         vec_scale(wrap, f)
 
@@ -163,7 +174,10 @@ def short_acc(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion,
     costs M(n)*log n; there, two wrapped convolutions whose quotient parts
     cancel (lambda*a mod X^n - 1 and (1 - lambda)*a mod X^n -
     lambda/(lambda - 1)) cost O(M(n)) and would be the right route again.
+    c must be disjoint from a and b (else `AliasedOperands`, before any
+    write).
     """
+    _check_disjoint(c, a, b)
     strategy = _resolve(strategy)
     n = len(c)
     if len(a) > n:

@@ -161,8 +161,8 @@ def tracked(fn):
     """Record recursion depth of fn in the active scope, if any.
 
     The field is discovered from the first argument that exposes one
-    (regions, split targets and views all do); keyword arguments are
-    scanned only when no positional one does.
+    (regions and views do); keyword arguments are scanned only when no
+    positional one does.
     """
 
     @wraps(fn)

@@ -16,7 +16,7 @@ none touches coefficient storage itself.
 from __future__ import annotations
 
 from .instrument import tracked
-from .region import CoeffRegion, SplitTarget, _axpy, _mac, split_blocks, vec_copy
+from .region import CoeffRegion, _axpy, _check_disjoint, _mac, split_blocks, vec_copy
 
 
 class TargetTooShort(ValueError):
@@ -52,8 +52,9 @@ class MulStrategy:
     any lengths; `acc_mul_middle(c, x, y)` the middle product, c[i] +=
     sum_{j < len y} x[i+j]*y[j] with len x = len c + len y - 1 (else
     `LengthMismatch`, before any write), which is any Toeplitz
-    matrix-vector product.  threshold: length at or below
-    which callers should switch to their quadratic base case.
+    matrix-vector product.  Every target c is one contiguous `CoeffRegion`,
+    disjoint from the operands.  threshold: length at or below which
+    callers should switch to their quadratic base case.
     """
 
     name = "abstract"
@@ -120,18 +121,12 @@ def _acc_columns(c, a, b, la, lb, kmax, t):
     """c[k] += t * sum_{i+j=k} a[i]*b[j] for k < kmax, one `_mac` per column.
 
     b is read through its reversed view, so each column is a dot product
-    of two windows; a SplitTarget c is swept one half after the other.
+    of two windows.
     """
     br = b.reversed() if lb > 1 else b
-    if isinstance(c, SplitTarget):
-        l1 = len(c.first)
-        parts = ((c.first, 0, min(kmax, l1)), (c.second, l1, kmax))
-    else:
-        parts = ((c, 0, kmax),)
-    for dst, lo, hi in parts:
-        for k in range(lo, hi):
-            i = k - lb + 1 if k >= lb else 0
-            _mac(dst, k - lo, 1, t, a, i, br, i + lb - 1 - k, (k + 1 if k < la else la) - i)
+    for k in range(kmax):
+        i = k - lb + 1 if k >= lb else 0
+        _mac(c, k, 1, t, a, i, br, i + lb - 1 - k, (k + 1 if k < la else la) - i)
 
 
 _DEFAULT = Schoolbook()
@@ -146,25 +141,27 @@ def _resolve(strategy) -> MulStrategy:
 
 
 @tracked
-def acc_mul_full(c, a: CoeffRegion, b: CoeffRegion, negate: bool = False,
+def acc_mul_full(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, negate: bool = False,
                  strategy: MulStrategy | None = None) -> None:
     """c[k] += sum_{i+j=k} a[i]*b[j] (minus, when negate); a, b restored.
 
-    c may be a CoeffRegion or a SplitTarget and must be disjoint from a
-    and b; exclusive access to all three is assumed for the call.
+    c must be disjoint from a and b (else `AliasedOperands`, before any
+    write); exclusive access to all three is assumed for the call.
     """
     need = len(a) + len(b) - 1
     if len(c) < need:
         raise TargetTooShort(f"target {len(c)} < product length {need}")
+    _check_disjoint(c, a, b)
     _resolve(strategy).acc_mul_full(c, a, b, negate)
 
 
 @tracked
 def acc_mul_short(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, n: int,
                   negate: bool = False, strategy: MulStrategy | None = None) -> None:
-    """c[k] += sum_{i+j=k, k<n} a[i]*b[j]; quadratic truncated accumulation."""
+    """c[k] += sum_{i+j=k, k<n} a[i]*b[j]; c disjoint from a and b."""
     if len(c) < n:
         raise TargetTooShort(f"target {len(c)} < truncation length {n}")
+    _check_disjoint(c, a, b)
     _resolve(strategy).acc_mul_short(c, a, b, n, negate)
 
 

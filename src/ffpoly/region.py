@@ -2,12 +2,13 @@
 
 A `Buffer` owns a flat list of canonical residues.  A `CoeffRegion` is a
 unit-stride window over one buffer, forward or reversed, and holds
-exactly the coefficients it covers.  A `SplitTarget` couples two
-disjoint regions into one logical accumulation destination.
+exactly the coefficients it covers.  Every product lands on one such
+window: a product that wraps round the end of a region is accumulated
+after `vec_rotate` has turned the region round in place.
 
 None of the view operations copies coefficients; the only copying
-utilities are `snapshot` (test harness) and `vec_copy`, which is also the
-one place that zero-extends a shorter operand.
+utilities are `snapshot` (test harness), `vec_copy`, which is also the one
+place that zero-extends a shorter operand, and `vec_rotate`.
 
 This is the only module that knows how coefficients are stored.  Every
 arithmetic loop over storage is one of three strided kernels below --
@@ -139,46 +140,6 @@ class CoeffRegion:
 
     def __repr__(self):
         return f"CoeffRegion(start={self.start}, len={self.length}, step={self.step})"
-
-
-class SplitTarget:
-    """Two disjoint regions acting as one logical accumulation target.
-
-    Logical index k maps to first[k] when k < len(first) and to
-    second[k - len(first)] otherwise.
-    """
-
-    __slots__ = ("first", "second")
-
-    def __init__(self, first: CoeffRegion, second: CoeffRegion):
-        if first.overlaps(second):
-            raise ValueError("split target halves must be disjoint")
-        self.first = first
-        self.second = second
-
-    @property
-    def field(self) -> Field:
-        return self.first.field
-
-    def __len__(self):
-        return len(self.first) + len(self.second)
-
-    def __getitem__(self, k: int) -> int:
-        n1 = len(self.first)
-        return self.first[k] if k < n1 else self.second[k - n1]
-
-    def __setitem__(self, k: int, v: int):
-        n1 = len(self.first)
-        if k < n1:
-            self.first[k] = v
-        else:
-            self.second[k - n1] = v
-
-    def to_list(self) -> list[int]:
-        return self.first.to_list() + self.second.to_list()
-
-    def __repr__(self):
-        return f"SplitTarget({self.first!r}, {self.second!r})"
 
 
 def poly_region(field: Field, coeffs) -> CoeffRegion:
@@ -369,3 +330,22 @@ def vec_copy(dst: CoeffRegion, src: CoeffRegion) -> None:
     for _ in range(dst.length - n):
         dd[di] = 0
         di += ds
+
+
+def vec_rotate(dst: CoeffRegion, k: int) -> None:
+    """dst <- dst[k:] + dst[:k] for 0 <= k <= len(dst), by three reversals.
+
+    Data movement, not a field operation, so nothing is counted; swaps in
+    place, so nothing is allocated.
+    """
+    n = dst.length
+    if not 0 <= k <= n:
+        raise ValueError(f"rotation by {k} outside a region of {n}")
+    dd, ds, d0 = dst.buf.data, dst.step, dst.start
+    for lo, hi in ((0, k), (k, n), (0, n)):
+        i = d0 + lo * ds
+        j = d0 + (hi - 1) * ds
+        for _ in range((hi - lo) // 2):
+            dd[i], dd[j] = dd[j], dd[i]
+            i += ds
+            j -= ds

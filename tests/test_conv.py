@@ -5,6 +5,7 @@ import pytest
 from ffpoly import (
     AliasedOperands,
     BadParameter,
+    CoeffRegion,
     GuardViolation,
     LengthMismatch,
     Schoolbook,
@@ -197,6 +198,35 @@ def test_fuzz_all_routes():
             neg = rng.random() < 0.25
             got, want = _conv_case(p, a, b, c, f, thr, negate=neg)
             assert got == want, (p, n, f, thr, neg)
+
+
+class _RecordingSchoolbook(Schoolbook):
+    def __init__(self, threshold):
+        super().__init__(threshold)
+        self.targets = []
+
+    def acc_mul_full(self, c, a, b, negate=False):
+        self.targets.append((type(c), len(c), len(a) + len(b) - 1))
+        super().acc_mul_full(c, a, b, negate)
+
+
+def test_every_full_product_target_is_one_exact_region():
+    # the MulStrategy contract a new strategy has to meet: each full
+    # product lands on one contiguous CoeffRegion of exactly its length
+    rng = random.Random(0x5E)
+    p = 65521
+    for n in range(17, 41):
+        for f in (0, 1, 2, 3):
+            for thr in (1, 2, 4):
+                strategy = _RecordingSchoolbook(thr)
+                a, b, c = (rand_coeffs(rng, p, n) for _ in range(3))
+                rc = region_of(p, c)
+                conv_acc(rc, region_of(p, a), region_of(p, b), f, strategy=strategy)
+                assert rc.to_list() == [
+                    (x + y) % p for x, y in zip(c, ref_convolution(a, b, f, n, p))]
+                assert strategy.targets, (n, f, thr)
+                for kind, got, need in strategy.targets:
+                    assert kind is CoeffRegion and got == need, (n, f, thr, kind, got, need)
 
 
 def test_exhaustive_small_sweep_over_f5():

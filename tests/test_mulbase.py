@@ -3,12 +3,12 @@ import random
 import pytest
 
 from ffpoly import (
+    AliasedOperands,
     Buffer,
     LengthMismatch,
     NonInvertibleLeading,
     Schoolbook,
     SingularDiagonal,
-    SplitTarget,
     TargetTooShort,
     ToeplitzView,
     acc_mul_full,
@@ -19,6 +19,7 @@ from ffpoly import (
     quad_tri_mul_overplace,
     quad_tri_solve_overplace,
     rect_toeplitz_acc,
+    short_acc,
     snapshot,
     tri_toeplitz_mul_overplace,
     tri_toeplitz_solve_overplace,
@@ -67,22 +68,35 @@ def test_acc_mul_full_matches_oracle_bulk():
             snap.assert_restored()
 
 
-def test_acc_mul_full_negate_and_split_target():
+def test_acc_mul_full_negate_onto_longer_target():
     rng = random.Random(77)
     for p in (2, 5, 65521):
         for _ in range(300):
             la, lb = rng.randrange(0, 12), rng.randrange(0, 12)
-            cut = rng.randrange(0, la + lb + 1)
+            extra = rng.randrange(0, la + lb + 1)
             a, b = rand_coeffs(rng, p, la), rand_coeffs(rng, p, lb)
             need = max(la + lb - 1, 0)
-            c = rand_coeffs(rng, p, max(cut, need))
+            c = rand_coeffs(rng, p, need + extra)
             buf = region_of(p, c)
-            tgt = SplitTarget(buf.sub(0, cut), buf.sub(cut, len(c)))
             neg = rng.random() < 0.5
-            acc_mul_full(tgt, region_of(p, a), region_of(p, b), negate=neg)
+            acc_mul_full(buf, region_of(p, a), region_of(p, b), negate=neg)
             prod = ref_mul(a, b, p) + [0] * len(c)
             want = [(x - y if neg else x + y) % p for x, y in zip(c, prod)]
             assert buf.to_list() == want
+
+
+@pytest.mark.parametrize("call", [
+    lambda c, a, b: acc_mul_full(c, a, b),
+    lambda c, a, b: acc_mul_short(c, a, b, 4),
+    lambda c, a, b: short_acc(c, a, b),
+], ids=["acc_mul_full", "acc_mul_short", "short_acc"])
+def test_product_entry_points_reject_aliased_operands(call):
+    # a = [1, 2, 3] and c = [3, 0, 0, 0] share a cell; unchecked, the column
+    # sweep reads a[2] after writing it: c = [4, 4, 1, 1], not [4, 4, 0, 6]
+    r = region_of(7, [1, 2, 3, 0, 0, 0])
+    with pytest.raises(AliasedOperands):
+        call(r.sub(2, 6), r.sub(0, 3), region_of(7, [1, 2]))
+    assert r.to_list() == [1, 2, 3, 0, 0, 0]
 
 
 def test_acc_mul_full_zero_aux():

@@ -11,7 +11,6 @@ from ffpoly import (
     Field,
     FieldError,
     RestorationViolation,
-    SplitTarget,
     VirtualWrite,
     measure,
     poly_region,
@@ -19,7 +18,8 @@ from ffpoly import (
     split_blocks,
 )
 from ffpoly.region import (
-    _CHUNK, _axpy, _mac, _scale, vec_addmul, vec_copy, vec_iadd, vec_negate, vec_scale)
+    _CHUNK, _axpy, _mac, _scale, vec_addmul, vec_copy, vec_iadd, vec_negate, vec_rotate,
+    vec_scale)
 
 from conftest import field
 
@@ -64,25 +64,6 @@ def test_split_blocks_cover_everything(block, values):
     blocks = split_blocks(r, block)
     flat = [v for b in blocks for v in b.to_list()]
     assert flat == values
-
-
-def test_split_target_mapping_is_total_and_injective():
-    buf = poly_region(field(7), [0, 1, 2, 3, 4, 5])
-    tgt = SplitTarget(buf.sub(3, 6), buf.sub(0, 2))
-    assert len(tgt) == 5
-    assert [tgt[k] for k in range(5)] == [3, 4, 5, 0, 1]
-    seen = set()
-    for k in range(5):
-        tgt[k] = (tgt[k] + 1) % 7
-        seen.add(k)
-    assert buf.to_list() == [1, 2, 2, 4, 5, 6]
-    assert len(seen) == 5
-
-
-def test_split_target_rejects_overlap():
-    buf = poly_region(field(7), [0, 1, 2, 3])
-    with pytest.raises(ValueError):
-        SplitTarget(buf.sub(0, 2), buf.sub(1, 3))
 
 
 def test_overlaps_iff_windows_share_a_cell():
@@ -189,6 +170,27 @@ def test_vec_copy_onto_itself_is_a_copy():
     assert r.to_list() == [4, 5, 6]
 
 
+@given(st.integers(0, 40), st.integers(0, 5), st.integers(0, 5), st.booleans())
+def test_vec_rotate_turns_a_window_round_in_place(n, before, after, rev):
+    f = field(65521)
+    cells = list(range(1, before + n + after + 1))
+    whole = poly_region(f, cells)
+    r = whole.sub(before, before + n)
+    if rev:
+        r = r.reversed()
+    for k in range(n + 1):
+        old = r.to_list()
+        with measure(f, max_aux=0) as scope:
+            vec_rotate(r, k)
+            assert r.to_list() == old[k:] + old[:k]
+            vec_rotate(r, n - k)
+        assert scope.counter.total == 0
+        assert whole.to_list() == cells
+    with pytest.raises(ValueError):
+        vec_rotate(r, n + 1)
+    assert whole.to_list() == cells
+
+
 def test_out_of_range_indexing():
     r = poly_region(field(7), [1, 2])
     with pytest.raises(IndexError):
@@ -202,14 +204,11 @@ def test_out_of_range_indexing():
 def test_setitem_rejects_what_buffer_rejects():
     f = field(65521)
     r = poly_region(f, [1, 2])
-    tgt = SplitTarget(r.sub(0, 1), r.sub(1, 2))
     for bad in (10**6, 65521, -1, 1.0, "3", None):
         with pytest.raises(FieldError):
             Buffer(f, [bad])
         with pytest.raises(FieldError):
             r[0] = bad
-        with pytest.raises(FieldError):
-            tgt[1] = bad
     assert r.to_list() == [1, 2]
     r.reversed()[0] = 65520
     assert r.to_list() == [1, 65520]
