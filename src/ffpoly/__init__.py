@@ -31,8 +31,6 @@ from .mulbase import (
 from .conv import (
     BadParameter,
     conv_acc,
-    conv_even_f,
-    conv_split_f,
     short_acc,
 )
 from .toeplitz import (
@@ -69,8 +67,7 @@ __all__ = [
     "TargetTooShort", "acc_mul_full", "acc_mul_short", "default_strategy", "quad_rem",
     "quad_rem_overplace", "quad_tri_mul_overplace", "quad_tri_solve_overplace",
     # conv
-    "BadParameter", "conv_acc", "conv_even_f", "conv_split_f",
-    "short_acc",
+    "BadParameter", "conv_acc", "short_acc",
     # toeplitz
     "CirculantView", "ToeplitzView", "banded_upper_mul_overplace",
     "banded_upper_solve_overplace", "circulant_acc", "rect_toeplitz_acc",

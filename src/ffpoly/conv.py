@@ -1,22 +1,26 @@
 """In-place accumulating convolutions c += a*b mod (X^n - f).
 
-One entry point, `conv_acc`, routes on (f, parity of n):
+One entry point, `conv_acc`, checks its arguments once, before any write,
+and routes on (f, n):
 
-  f = 0               -> `short_acc`, the truncated product;
-  n even, f not 0, 1  -> `conv_even_f`, three half-length products;
-  otherwise           -> `conv_split_f`, four products at t = ceil(n/2).
+  f = 0                    -> `short_acc`, the truncated product;
+  n <= threshold           -> `_conv_quad`, the quadratic base case;
+  n even, f not 0, 1       -> `_conv_even_f`, three half-length products;
+  otherwise                -> `_conv_split_f`, four products at t = ceil(n/2).
 
-`conv_split_f` is correct for every n and nonzero f; the even route is
-kept because it needs 3 products (0.75*n^2 muls under `Schoolbook`)
-against 4 (n^2).  Each wrapped variant splits its operands in halves and
-reduces to a constant number of full accumulating multiplications plus a
-linear number of scalar operations; its operands are freely mutated
-during a call but are always restored exactly.  A product that wraps
-round the end of c lands on one contiguous window after c is rotated in
-place (`vec_rotate`), and c is rotated back before the call returns, so
-every product target is a single region.  The truncated product
-splits in halves too, into one full product and two half-length
-truncated ones, and writes nothing but c.
+The two wrapped variants are private steps: they take checked arguments
+and a resolved strategy, and check nothing themselves.  `_conv_split_f`
+is correct for every n and nonzero f; the even route is kept because it
+needs 3 products (0.75*n^2 muls under `Schoolbook`) against 4 (n^2).
+Each wrapped variant splits its operands in halves and reduces to a
+constant number of full accumulating multiplications plus a linear
+number of scalar operations; its operands are freely mutated during a
+call but are always restored exactly.  A product that wraps round the
+end of c lands on one contiguous window after c is rotated in place
+(`vec_rotate`), and c is rotated back before the call returns, so every
+product target is a single region.  The truncated product splits in
+halves too, into one full product and two half-length truncated ones,
+and writes nothing but c.
 """
 
 from __future__ import annotations
@@ -28,26 +32,12 @@ from .region import (
 
 
 class BadParameter(ValueError):
-    """Parameter outside a variant's domain (parity, f value, n = 0)."""
-
-
-def _check_f(field, f: int) -> None:
-    if not 0 <= f < field.p:
-        raise BadParameter(f"f must be a canonical residue mod {field.p}: {f}")
-
-
-def _check_triple(c, a, b):
-    n = len(c)
-    if len(a) != n or len(b) != n:
-        raise LengthMismatch(f"need equal lengths, got {len(a)}, {len(b)}, {n}")
-    if n == 0:
-        raise BadParameter("empty convolution")
-    return n
+    """Convolution parameter outside the domain: f not canonical, or n = 0."""
 
 
 def _conv_quad(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, f: int,
                negate: bool) -> None:
-    """Quadratic wrapped accumulation; base case of every variant.
+    """Quadratic wrapped accumulation; the base case for nonzero f.
 
     c[k] += sum_{i<=k} a[i]*b[k-i] + f * sum_{i>k} a[i]*b[n+k-i], two
     dot products per column against the reversed view of b.
@@ -64,9 +54,9 @@ def _conv_quad(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, f: int,
 
 
 @tracked
-def conv_even_f(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, f: int,
-                negate: bool = False, strategy: MulStrategy | None = None) -> None:
-    """c += a*b mod (X^n - f) for even n and f outside {0, 1}.
+def _conv_even_f(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, f: int,
+                 negate: bool, strategy: MulStrategy) -> None:
+    """c += a*b mod (X^n - f) for even n and f outside {0, 1}; a `conv_acc` step.
 
     Three half-length products; the cross product reuses the space of the
     other two through an invertible rescaling of the two halves of c,
@@ -75,16 +65,8 @@ def conv_even_f(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, f: int,
     c stays rotated from the second product through the third, so while
     it is, the views c0 and c1 hold each other's halves.
     """
-    strategy = _resolve(strategy)
-    n = _check_triple(c, a, b)
+    n = len(c)
     field = c.field
-    if not 1 < f < field.p:
-        raise BadParameter(f"f must lie outside {{0, 1}}: {f}")
-    if n % 2:
-        raise BadParameter(f"length must be even: {n}")
-    if n <= strategy.threshold:
-        _conv_quad(c, a, b, f, negate)
-        return
     t = n // 2
     a0, a1 = a.sub(0, t), a.sub(t, n)
     b0, b1 = b.sub(0, t), b.sub(t, n)
@@ -110,9 +92,9 @@ def conv_even_f(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, f: int,
 
 
 @tracked
-def conv_split_f(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, f: int,
-                 negate: bool = False, strategy: MulStrategy | None = None) -> None:
-    """c += a*b mod (X^n - f) for any n and nonzero f.
+def _conv_split_f(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, f: int,
+                  negate: bool, strategy: MulStrategy) -> None:
+    """c += a*b mod (X^n - f) for any n >= 2 and nonzero f; a `conv_acc` step.
 
     Split at t = ceil(n/2), so the upper halves are one shorter than the
     lower ones when n is odd.  The low-low product lands directly on
@@ -124,14 +106,8 @@ def conv_split_f(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, f: int,
     f = 1 every scaling is the identity and is skipped, leaving four plain
     products.
     """
-    strategy = _resolve(strategy)
-    n = _check_triple(c, a, b)
+    n = len(c)
     field = c.field
-    if not 1 <= f < field.p:
-        raise BadParameter(f"f must be nonzero: {f}")
-    if n <= strategy.threshold:
-        _conv_quad(c, a, b, f, negate)
-        return
     t = (n + 1) // 2
     a0, a1 = a.sub(0, t), a.sub(t, n)
     b0, b1 = b.sub(0, t), b.sub(t, n)
@@ -207,18 +183,28 @@ def short_acc(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion,
 @tracked
 def conv_acc(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, f: int,
              negate: bool = False, strategy: MulStrategy | None = None) -> None:
-    """c += a*b mod (X^n - f); dispatcher over all (n, f) cases.
+    """c += a*b mod (X^n - f) for n = len(c) >= 1 and f in [0, p); the one entry.
 
-    a and b may be temporarily mutated but are restored exactly; c gains the
-    wrapped product (or loses it, when negate is set).  The three regions
-    must be disjoint.
+    a and b must have length n (else `LengthMismatch`); n = 0 and a
+    non-canonical f raise `BadParameter`; the three regions must be
+    disjoint (else `AliasedOperands`).  All of this is checked before any
+    write.  a and b may be temporarily mutated but are restored exactly;
+    c gains the wrapped product (or loses it, when negate is set).
     """
-    n = _check_triple(c, a, b)
-    _check_f(c.field, f)
+    n = len(c)
+    if len(a) != n or len(b) != n:
+        raise LengthMismatch(f"need equal lengths, got {len(a)}, {len(b)}, {n}")
+    if n == 0:
+        raise BadParameter("empty convolution")
+    if not 0 <= f < c.field.p:
+        raise BadParameter(f"f must be a canonical residue mod {c.field.p}: {f}")
     _check_disjoint(c, a, b)
+    strategy = _resolve(strategy)
     if f == 0:
         short_acc(c, a, b, negate, strategy)
+    elif n <= strategy.threshold:
+        _conv_quad(c, a, b, f, negate)
     elif n % 2 == 0 and f != 1:
-        conv_even_f(c, a, b, f, negate, strategy)
+        _conv_even_f(c, a, b, f, negate, strategy)
     else:
-        conv_split_f(c, a, b, f, negate, strategy)
+        _conv_split_f(c, a, b, f, negate, strategy)

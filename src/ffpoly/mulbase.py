@@ -81,13 +81,9 @@ class Schoolbook(MulStrategy):
         self.threshold = threshold
 
     def acc_mul_full(self, c, a, b, negate=False):
-        la, lb = len(a), len(b)
-        if la == 0 or lb == 0:
-            return
-        _acc_columns(c, a, b, la, lb, la + lb - 1, -1 if negate else 1)
-        scope = a.field.scope
-        if scope is not None:
-            scope.count(adds=la * lb, muls=la * lb)
+        # the full product is the truncated one at n = la + lb - 1; called
+        # through the class, so a subclass's acc_mul_short is not run here
+        Schoolbook.acc_mul_short(self, c, a, b, len(a) + len(b) - 1, negate)
 
     def acc_mul_short(self, c, a, b, n, negate=False):
         la = len(a)
@@ -213,11 +209,13 @@ def quad_rem(r: CoeffRegion, a: CoeffRegion, b: CoeffRegion) -> None:
     and subtracting their multiple of b from the next block of a leaves
     the next window.  Only the s <= M coefficients of the top block yield
     digits; the first sweep skips the zero digits above them, so exactly
-    N-M+1 digits are computed.
+    N-M+1 digits are computed.  r must be disjoint from a and b (else
+    `AliasedOperands`, before any write).
     """
     mm = _divisor_degree(b)
     if len(r) != mm:
         raise TargetTooShort(f"remainder window must have length {mm}")
+    _check_disjoint(r, a, b)
     field = r.field
     nn = len(a) - 1
     if nn < mm:
@@ -253,9 +251,11 @@ def quad_rem_overplace(a: CoeffRegion, b: CoeffRegion) -> None:
     The quotient digit is parked in the cell whose leading coefficient it
     consumes, so the low M cells end up holding a mod b and the high
     N-M+1 cells hold a div b, low degree first.  Each cell is settled by
-    one dot product against the digits above it, top cell first.
+    one dot product against the digits above it, top cell first.  a and b
+    must be disjoint (else `AliasedOperands`, before any write).
     """
     mm = _divisor_degree(b)
+    _check_disjoint(a, b)
     field = a.field
     nn = len(a) - 1
     if nn < mm:

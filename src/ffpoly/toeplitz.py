@@ -31,14 +31,6 @@ class CirculantView:
     vec: CoeffRegion
     f: int
 
-    @property
-    def field(self):
-        return self.vec.field
-
-    @property
-    def dim(self) -> int:
-        return len(self.vec)
-
 
 @dataclass(frozen=True)
 class ToeplitzView:
@@ -54,20 +46,17 @@ class ToeplitzView:
                 f"defining vector needs length {self.rows + self.cols - 1}, "
                 f"got {len(self.vec)}")
 
-    @property
-    def field(self):
-        return self.vec.field
-
 
 @tracked
 def circulant_acc(c: CoeffRegion, view: CirculantView, b: CoeffRegion,
                   negate: bool = False, strategy: MulStrategy | None = None) -> None:
-    """c += Circ_f(a) . b; a and b restored exactly."""
+    """c += Circ_f(a) . b for a = view.vec; a and b restored exactly.
+
+    All three empty is a no-op; otherwise `conv_acc` on reversed c and b
+    checks lengths, f and aliasing before any write.
+    """
     a = view.vec
-    m = len(c)
-    if len(a) != m or len(b) != m:
-        raise LengthMismatch(f"need square dimensions, got {len(a)}, {len(b)}, {m}")
-    if m == 0:
+    if len(c) == len(a) == len(b) == 0:
         return
     conv_acc(c.reversed(), a, b.reversed(), view.f, negate, strategy)
 

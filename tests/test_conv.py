@@ -10,13 +10,12 @@ from ffpoly import (
     LengthMismatch,
     Schoolbook,
     conv_acc,
-    conv_even_f,
-    conv_split_f,
     measure,
     poly_region,
     short_acc,
     snapshot,
 )
+from ffpoly import conv
 from ffpoly.reference import ref_convolution, ref_mul
 
 from conftest import FIELD_PRIMES, field, rand_coeffs, region_of
@@ -62,52 +61,54 @@ def test_worked_examples():
 
 
 def test_even_f_trace_and_degenerates():
-    got, want = _conv_case(5, [1, 2], [3, 1], [0, 0], 2, 1, fn=conv_even_f)
+    # even n and f outside {0, 1} above the threshold: conv_acc takes the
+    # three-product route
+    got, want = _conv_case(5, [1, 2], [3, 1], [0, 0], 2, 1)
     assert got == want == [2, 2]
     # zero a: the scalar renormalization round-trips and c is unchanged
-    got, want = _conv_case(7, [0] * 4, [1, 2, 3, 4], [5, 6, 0, 1], 3, 1,
-                           fn=conv_even_f)
+    got, want = _conv_case(7, [0] * 4, [1, 2, 3, 4], [5, 6, 0, 1], 3, 1)
     assert got == [5, 6, 0, 1]
     rng = random.Random(8)
     a, b, c = (rand_coeffs(rng, 7, 4) for _ in range(3))
-    got, want = _conv_case(7, a, b, c, 3, 1, fn=conv_even_f)
+    got, want = _conv_case(7, a, b, c, 3, 1)
     assert got == want
 
 
 def test_even_1_examples():
-    got, want = _conv_case(5, [1, 2], [3, 1], [1, 1], 1, 1, fn=conv_split_f)
+    # f = 1 above the threshold: conv_acc takes the four-product split
+    got, want = _conv_case(5, [1, 2], [3, 1], [1, 1], 1, 1)
     assert got == want == [1, 3]
     # constant-1 multiplicand: c += a
-    got, want = _conv_case(7, [3, 4, 5, 6], [1, 0, 0, 0], [1, 1, 1, 1], 1, 2,
-                           fn=conv_split_f)
+    got, want = _conv_case(7, [3, 4, 5, 6], [1, 0, 0, 0], [1, 1, 1, 1], 1, 2)
     assert got == [4, 5, 6, 0]
     rng = random.Random(9)
     a, b, c = (rand_coeffs(rng, 13, 8) for _ in range(3))
-    got, want = _conv_case(13, a, b, c, 1, 2, fn=conv_split_f)
+    got, want = _conv_case(13, a, b, c, 1, 2)
     assert got == want
 
 
 def test_odd_f_examples():
-    got, want = _conv_case(5, [1, 0, 1], [0, 1, 0], [0, 0, 0], 2, 1, fn=conv_split_f)
+    got, want = _conv_case(5, [1, 0, 1], [0, 1, 0], [0, 0, 0], 2, 1)
     assert got == want == [2, 1, 0]
-    got, want = _conv_case(7, [3], [4], [1], 5, 1, fn=conv_split_f)
+    got, want = _conv_case(7, [3], [4], [1], 5, 1)
     assert got == want == [(1 + 12) % 7]
     rng = random.Random(10)
     a, b, c = (rand_coeffs(rng, 7, 5) for _ in range(3))
-    got, want = _conv_case(7, a, b, c, 4, 1, fn=conv_split_f)
+    got, want = _conv_case(7, a, b, c, 4, 1)
     assert got == want
 
 
 def test_split_f_covers_even_lengths_with_a_general_wrap():
-    # conv_acc sends even n with f outside {0, 1} to conv_even_f; the split
-    # is correct there too, and restores a and b bit for bit
+    # conv_acc sends even n with f outside {0, 1} to _conv_even_f; the split
+    # step is correct there too, at every n >= 2 whatever the threshold, and
+    # restores a and b bit for bit
     rng = random.Random(0x5F)
     for p in (5, 65521):
         for thr in THRESHOLDS:
             for n in range(2, 41, 2):
                 for f in (2, 3, 4) if p == 5 else (2, rng.randrange(3, p)):
                     a, b, c = (rand_coeffs(rng, p, n) for _ in range(3))
-                    got, want = _conv_case(p, a, b, c, f, thr, fn=conv_split_f)
+                    got, want = _conv_case(p, a, b, c, f, thr, fn=conv._conv_split_f)
                     assert got == want, (p, thr, n, f)
 
 
@@ -124,17 +125,27 @@ def test_short_examples():
 
 
 def test_dispatcher_routing(monkeypatch):
-    # conv_acc reaches the variants through the module's names; record
-    # which one it runs.
-    from ffpoly import conv
+    # at the default threshold a short wrapped convolution is conv_acc's
+    # own base case: one tracked frame, no variant step below it
+    f5 = field(5)
+    with measure(f5) as sc:
+        conv_acc(poly_region(f5, [0] * 8), poly_region(f5, [1] * 8),
+                 poly_region(f5, [2] * 8), 2)
+    assert sc.peak_depth == 1
+    # conv_acc reaches every route through the module's names; record
+    # which one it runs
     seen = []
-    for route, name in (("short", "short_acc"), ("split", "conv_split_f"),
-                        ("even_general", "conv_even_f"), ("full", "acc_mul_full")):
+    for route, name in (("short", "short_acc"), ("quad", "_conv_quad"),
+                        ("split", "_conv_split_f"), ("even_general", "_conv_even_f"),
+                        ("full", "acc_mul_full")):
         monkeypatch.setattr(conv, name, lambda *args, route=route, **kw: seen.append(route))
-    for n, f, route in ((8, 0, "short"), (7, 2, "split"), (7, 1, "split"),
-                        (8, 1, "split"), (8, 3, "even_general")):
-        conv_acc(region_of(5, [0] * n), region_of(5, [1] * n), region_of(5, [2] * n), f)
-        assert seen.pop() == route
+    for n, f, thr, route in ((8, 0, 16, "short"), (8, 2, 16, "quad"), (7, 1, 16, "quad"),
+                             (7, 2, 1, "split"), (7, 1, 1, "split"), (8, 1, 1, "split"),
+                             (8, 3, 1, "even_general")):
+        conv_acc(region_of(5, [0] * n), region_of(5, [1] * n), region_of(5, [2] * n), f,
+                 strategy=Schoolbook(thr))
+        assert seen.pop() == route, (n, f, thr)
+    assert seen == []
     # above the threshold the truncated product is one full product of the
     # low halves and two half-length truncated ones; no wrapped variant runs
     short_acc(region_of(5, [0] * 32), region_of(5, [1] * 32), region_of(5, [2] * 32))
@@ -146,15 +157,6 @@ def test_dispatcher_routing(monkeypatch):
 
 
 def test_domain_errors():
-    with pytest.raises(BadParameter):
-        conv_even_f(region_of(5, [0, 0]), region_of(5, [1, 1]),
-                    region_of(5, [1, 1]), 1, strategy=Schoolbook(1))
-    with pytest.raises(BadParameter):
-        conv_even_f(region_of(5, [0] * 3), region_of(5, [0] * 3),
-                    region_of(5, [0] * 3), 2, strategy=Schoolbook(1))
-    with pytest.raises(BadParameter):
-        conv_split_f(region_of(5, [0] * 3), region_of(5, [0] * 3),
-                     region_of(5, [0] * 3), 0, strategy=Schoolbook(1))
     with pytest.raises(LengthMismatch):
         conv_acc(region_of(5, [0, 0]), region_of(5, [1]), region_of(5, [1, 1]), 1)
     with pytest.raises(BadParameter):
