@@ -11,18 +11,23 @@ utilities are `snapshot` (test harness), `vec_copy`, which is also the one
 place that zero-extends a shorter operand, and `vec_rotate`.
 
 This is the only module that knows how coefficients are stored.  Every
-arithmetic loop over storage is one of three strided kernels below --
+arithmetic loop over storage is one of four strided kernels below --
 `_mac` (multiply-accumulate one output by a dot product of two windows),
+`_kron` (accumulate a run of coefficients of a product, by Kronecker
+substitution: blocks packed into integers and multiplied as integers),
 `_axpy` and `_scale` -- and the quadratic kernels of the other modules are
 short loops of calls to them.  `_axpy` and `_scale` allocate nothing;
-`_mac` sums a long window over slices of at most `_CHUNK` coefficients,
-so its temporaries are bounded by a constant whatever the window length.
+`_mac` sums a long window over slices of at most `_BLOCK` coefficients
+and `_kron` packs blocks of at most `_BLOCK` coefficients, so their
+temporaries are bounded by a constant whatever the window length.
 """
 
 from __future__ import annotations
 
+from array import array
 from itertools import combinations
 from operator import mul
+from sys import byteorder
 
 from .ff import Field, FieldError
 
@@ -203,7 +208,20 @@ def snapshot(*regions) -> Snapshot:
 # `VirtualWrite`.
 
 _SHORT = 16     # longest dot product that `_mac` sums by an index loop
-_CHUNK = 128    # longest slice `_mac` takes of an operand
+_BLOCK = 128    # longest window a kernel takes of an operand at once
+_KRON = 8       # products whose operands are all longer than this go through `_kron`
+assert array("Q").itemsize == 8
+
+
+def _window(r: CoeffRegion, i: int, n: int) -> slice:
+    """The slice of r's buffer holding its logical window [i, i+n).
+
+    A reversed window ending at physical index 0 stops at -1, which as a
+    slice end would mean "the last element"; the slice runs to None instead.
+    """
+    lo = r.start + i * r.step
+    hi = lo + n * r.step
+    return slice(lo, hi if hi >= 0 else None, r.step)
 
 
 def _mac(dst: CoeffRegion, k: int, s: int, t: int,
@@ -211,7 +229,7 @@ def _mac(dst: CoeffRegion, k: int, s: int, t: int,
     """dst[k] <- s*dst[k] + t*sum_{u<n} a[i+u]*b[j+u].
 
     A window of more than `_SHORT` coefficients is summed as
-    `sum(map(mul, ...))` over slices of at most `_CHUNK` coefficients of
+    `sum(map(mul, ...))` over slices of at most `_BLOCK` coefficients of
     each operand, which are its only temporaries; a shorter one by an index
     loop, which is faster there.  The sum is read before dst[k] is written,
     so dst may lie inside a or b.
@@ -233,7 +251,7 @@ def _mac(dst: CoeffRegion, k: int, s: int, t: int,
             ib += sb
     else:
         while n > 0:
-            c = _CHUNK if n > _CHUNK else n
+            c = _BLOCK if n > _BLOCK else n
             ea = ia + c * sa
             eb = ib + c * sb
             # a reversed window ending at physical index 0 stops at -1,
@@ -244,6 +262,58 @@ def _mac(dst: CoeffRegion, k: int, s: int, t: int,
     dd = dst.buf.data
     kk = dst.start + k * dst.step
     dd[kk] = (s * dd[kk] + t * acc) % dst.buf.field.p
+
+
+def _pack(r: CoeffRegion, i: int, words: int) -> int:
+    """sum_u r[i+u] * 2^(64*words*u) over the block u < min(`_BLOCK`, len r - i)."""
+    v = array("Q", r.buf.data[_window(r, i, min(_BLOCK, r.length - i))])
+    if words > 1:
+        v, u = array("Q", bytes(8 * words * len(v))), v
+        v[::words] = u
+    return int.from_bytes(v, byteorder)
+
+
+def _kron(dst: CoeffRegion, s: int, t: int, a: CoeffRegion, b: CoeffRegion,
+          shift: int) -> None:
+    """dst[k] <- s*dst[k] + t*sum_{i+j=shift+k} a[i]*b[j] for k < len(dst).
+
+    Kronecker substitution over blocks of at most `_BLOCK` coefficients.
+    Each slot of a packed block gets whole 64-bit words, enough for
+    min(len a, len b)*(p-1)^2, so an exact sum never carries into the next
+    slot.  The product's block starting at position k is the sum of the
+    integer products A_I*B_J over block pairs with I + J = k/`_BLOCK`,
+    plus the upper half of the previous block's sum; its low slots are
+    unpacked once each and reduced once.  The temporaries are a few
+    integers of at most 2*`_BLOCK` slots and one list of `_BLOCK` ints,
+    whatever the lengths.  A block of dst is written only after all of
+    its products are formed, so the triangular multiply may write its own
+    operand b (dst = b, shift = len b - 1): each b[i] is last read in the
+    block that writes it.  a and b must be nonempty.
+    """
+    la, lb, n = a.length, b.length, dst.length
+    p = dst.buf.field.p
+    words = -(-(min(la, lb) * (p - 1) ** 2).bit_length() // 64)
+    slot = 8 * words
+    reach = (lb - 1) // _BLOCK * _BLOCK     # start of b's last block
+    dd = dst.buf.data
+    carry = 0
+    # from the lowest block whose product reaches position shift
+    for k in range(max((shift + 1) // _BLOCK * _BLOCK - _BLOCK, 0), shift + n, _BLOCK):
+        z = carry
+        for i in range(k - reach if k > reach else 0, k + 1 if k < la else la, _BLOCK):
+            z += _pack(a, i, words) * _pack(b, k - i, words)
+        carry = z >> (8 * slot * _BLOCK)
+        if k + _BLOCK <= shift:         # formed only for its carry
+            continue
+        lo, hi = shift - k if shift > k else 0, min(shift + n - k, _BLOCK)
+        zb = z.to_bytes(2 * slot * _BLOCK, byteorder)
+        if words == 1:
+            vals = array("Q", zb[8 * lo:8 * hi])
+        else:
+            vals = [int.from_bytes(zb[u:u + slot], byteorder)
+                    for u in range(slot * lo, slot * hi, slot)]
+        sl = _window(dst, k + lo - shift, hi - lo)
+        dd[sl] = [(s * x + t * v) % p for x, v in zip(dd[sl], vals)]
 
 
 def _axpy(dst: CoeffRegion, i: int, s: int, src: CoeffRegion, j: int, n: int) -> None:
@@ -335,13 +405,21 @@ def vec_copy(dst: CoeffRegion, src: CoeffRegion) -> None:
 def vec_rotate(dst: CoeffRegion, k: int) -> None:
     """dst <- dst[k:] + dst[:k] for 0 <= k <= len(dst), by three reversals.
 
-    Data movement, not a field operation, so nothing is counted; swaps in
-    place, so nothing is allocated.
+    A rotation by exactly half swaps the two halves instead: n/2 swaps,
+    not n.  Data movement, not a field operation, so nothing is counted;
+    swaps in place, so nothing is allocated.
     """
     n = dst.length
     if not 0 <= k <= n:
         raise ValueError(f"rotation by {k} outside a region of {n}")
     dd, ds, d0 = dst.buf.data, dst.step, dst.start
+    if 2 * k == n:
+        i, j = d0, d0 + k * ds
+        for _ in range(k):
+            dd[i], dd[j] = dd[j], dd[i]
+            i += ds
+            j += ds
+        return
     for lo, hi in ((0, k), (k, n), (0, n)):
         i = d0 + lo * ds
         j = d0 + (hi - 1) * ds

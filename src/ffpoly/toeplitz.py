@@ -16,35 +16,31 @@ division is that solve on the reversed divisor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .conv import LengthMismatch, conv_acc, short_acc
 from .instrument import tracked
 from .mulbase import MulStrategy, SingularDiagonal, _resolve
-from .region import CoeffRegion, _check_disjoint, _mac, split_blocks
+from .region import _KRON, CoeffRegion, _check_disjoint, _kron, _mac, split_blocks
 
 
-@dataclass(frozen=True)
 class CirculantView:
     """f-circulant matrix from its first row `vec`; lower part scaled by f."""
 
-    vec: CoeffRegion
-    f: int
+    __slots__ = ("vec", "f")
+
+    def __init__(self, vec: CoeffRegion, f: int):
+        self.vec, self.f = vec, f
 
 
-@dataclass(frozen=True)
 class ToeplitzView:
     """rows x cols Toeplitz matrix with entry (i, j) = vec[rows-1 + j - i]."""
 
-    vec: CoeffRegion
-    rows: int
-    cols: int
+    __slots__ = ("vec", "rows", "cols")
 
-    def __post_init__(self):
-        if len(self.vec) != self.rows + self.cols - 1:
+    def __init__(self, vec: CoeffRegion, rows: int, cols: int):
+        if len(vec) != rows + cols - 1:
             raise LengthMismatch(
-                f"defining vector needs length {self.rows + self.cols - 1}, "
-                f"got {len(self.vec)}")
+                f"defining vector needs length {rows + cols - 1}, got {len(vec)}")
+        self.vec, self.rows, self.cols = vec, rows, cols
 
 
 @tracked
@@ -118,9 +114,13 @@ def _tri_sweep(a, b, s: int, t: int, ascending: bool) -> None:
 
 
 def _quad_tri_toeplitz_mul(a, b):
+    """b <- upper(a) . b; above `_KRON`, b[i] = (rev a * b)[m-1+i] as one product."""
     field = b.field
     m = len(b)
-    _tri_sweep(a, b, a[0], 1, True)
+    if m > _KRON:
+        _kron(b, 0, 1, a.reversed(), b, m - 1)
+    else:
+        _tri_sweep(a, b, a[0], 1, True)
     scope = field.scope
     if scope is not None:
         scope.count(adds=m * (m - 1) // 2, muls=m * (m + 1) // 2)

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -18,6 +21,17 @@ def test_all_is_an_explicit_list_of_resolvable_names():
     namespace = {}
     exec("from ffpoly import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(names)
+
+
+def test_import_does_not_load_the_cli():
+    # the CLI is the longest module, and `import ffpoly` should not pay for
+    # compiling it; a fresh interpreter sees what the import really loads
+    src = str(Path(ffpoly.__file__).resolve().parent.parent)
+    code = "import sys, ffpoly; print(sorted(m for m in sys.modules if m.startswith('ffpoly.')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    loaded = ast.literal_eval(out.stdout.strip())
+    assert "ffpoly.region" in loaded and "ffpoly.cli" not in loaded, loaded
 
 
 def test_library_modules_import_only_what_they_use():

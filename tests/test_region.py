@@ -3,7 +3,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import ffpoly
 from ffpoly import (
@@ -18,7 +18,7 @@ from ffpoly import (
     split_blocks,
 )
 from ffpoly.region import (
-    _CHUNK, _axpy, _mac, _scale, vec_addmul, vec_copy, vec_iadd, vec_negate, vec_rotate,
+    _BLOCK, _axpy, _mac, _scale, vec_addmul, vec_copy, vec_iadd, vec_negate, vec_rotate,
     vec_scale)
 
 from conftest import field
@@ -171,6 +171,12 @@ def test_vec_copy_onto_itself_is_a_copy():
 
 
 @given(st.integers(0, 40), st.integers(0, 5), st.integers(0, 5), st.booleans())
+# rotations by exactly n/2 swap the halves: forward and reversed views,
+# including a reversed window that ends at physical index 0
+@example(32, 0, 0, True)
+@example(32, 3, 2, True)
+@example(32, 0, 4, False)
+@example(2, 0, 0, True)
 def test_vec_rotate_turns_a_window_round_in_place(n, before, after, rev):
     f = field(65521)
     cells = list(range(1, before + n + after + 1))
@@ -185,6 +191,14 @@ def test_vec_rotate_turns_a_window_round_in_place(n, before, after, rev):
             assert r.to_list() == old[k:] + old[:k]
             vec_rotate(r, n - k)
         assert scope.counter.total == 0
+        assert whole.to_list() == cells
+    if n % 2 == 0:
+        old = r.to_list()
+        vec_rotate(r, n // 2)
+        assert r.to_list() == old[n // 2:] + old[:n // 2]
+        assert whole.to_list()[:before] == cells[:before]
+        assert whole.to_list()[before + n:] == cells[before + n:]
+        vec_rotate(r, n // 2)
         assert whole.to_list() == cells
     with pytest.raises(ValueError):
         vec_rotate(r, n + 1)
@@ -318,7 +332,7 @@ def test_mac_temporaries_do_not_grow_with_the_window():
     dst = buf.region(0, 1)
     a, b = buf.region(1, n_max + 1), buf.region(n_max + 1, 2 * n_max + 1).reversed()
     peaks = []
-    for n in (4 * _CHUNK, n_max):
+    for n in (4 * _BLOCK, n_max):
         _mac(dst, 0, 1, 1, a, 0, b, 0, n)
         tracemalloc.start()
         try:
