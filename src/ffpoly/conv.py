@@ -4,7 +4,7 @@ One entry point, `conv_acc`, checks its arguments once, before any write,
 and routes on (f, n):
 
   f = 0                    -> `short_acc`, the truncated product;
-  n <= threshold           -> `_conv_quad`, the quadratic base case;
+  n <= threshold           -> `_conv_quad`, two packed products (`region._kron`);
   n even, f not 0, 1       -> `_conv_even_f`, three half-length products;
   otherwise                -> `_conv_split_f`, four products at t = ceil(n/2).
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 from .instrument import tracked
 from .mulbase import LengthMismatch, MulStrategy, _resolve, acc_mul_full
 from .region import (
-    CoeffRegion, _check_disjoint, _mac, vec_addmul, vec_iadd, vec_rotate, vec_scale)
+    CoeffRegion, _check_disjoint, _kron, vec_addmul, vec_iadd, vec_rotate, vec_scale)
 
 
 class BadParameter(ValueError):
@@ -39,15 +39,14 @@ def _conv_quad(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, f: int,
                negate: bool) -> None:
     """Quadratic wrapped accumulation; the base case for nonzero f.
 
-    c[k] += sum_{i<=k} a[i]*b[k-i] + f * sum_{i>k} a[i]*b[n+k-i], two
-    dot products per column against the reversed view of b.
+    c[k] += (a*b)[k] + f*(a*b)[n+k], as two packed products: positions
+    0..n-1 of a*b onto c, then f times positions n..2n-2 onto c[0:n-1].
     """
     n = len(c)
     t = -1 if negate else 1
-    br = b.reversed()
-    for k in range(n):
-        _mac(c, k, 1, t, a, 0, br, n - 1 - k, k + 1)
-        _mac(c, k, 1, t * f, a, k + 1, br, 0, n - 1 - k)
+    _kron(c, 1, t, a, b, 0)
+    if n > 1:
+        _kron(c.sub(0, n - 1), 1, t * f, a, b, n)
     scope = c.field.scope
     if scope is not None:
         scope.count(adds=n * n, muls=n * n + n - 1)

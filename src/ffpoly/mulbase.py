@@ -4,10 +4,9 @@ The multiplication building block is pluggable: anything honouring the
 `MulStrategy` contract (accumulate full, truncated and middle products
 onto c, restoring the operands exactly, O(1) auxiliary space beyond an
 O(log n) call stack) can drive the rest of the library.  The default is
-the schoolbook kernel, which is trivially in-place for all three: a
-product of blocks packed into integers (`region._kron`), or one strided
-multiply-accumulate (`region._mac`) per output coefficient when an
-operand is short.
+the schoolbook kernel, which is trivially in-place for all three: one
+product of blocks packed into integers (`region._kron`), whatever the
+lengths.
 
 Also here: over-place dense triangular matrix-vector multiply/solve and
 the quadratic polynomial remainder, used as reference base cases.  Every
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 from .instrument import tracked
 from .region import (
-    _KRON, CoeffRegion, _axpy, _check_disjoint, _kron, _mac, split_blocks, vec_copy)
+    CoeffRegion, _axpy, _check_disjoint, _kron, _mac, split_blocks, vec_copy)
 
 
 class TargetTooShort(ValueError):
@@ -76,14 +75,12 @@ class MulStrategy:
 class Schoolbook(MulStrategy):
     """Quadratic accumulating products; one mul and one add per pair multiplied.
 
-    When both factors are longer than `region._KRON` (for a middle
-    product, c and y), a product runs on the packed path: `region._kron`
-    packs blocks of at most `region._BLOCK` coefficients into integers
-    with 64-bit-word slots wide enough for the exact sums, multiplies them
-    as integers and reduces each output coefficient once.  That evaluates
-    the same bilinear form as the index loop, so the counts are still
-    reported per pair, from the shapes.  Shorter products run one
-    `region._mac` per output coefficient.
+    Every product is one `region._kron` call, which packs blocks of at
+    most `region._BLOCK` coefficients into integers with 64-bit-word slots
+    wide enough for the exact sums, multiplies them as integers and
+    reduces each output coefficient once.  That evaluates the same
+    bilinear form as the index loop, so the counts are still reported per
+    pair, from the shapes.
     """
 
     name = "schoolbook"
@@ -105,14 +102,7 @@ class Schoolbook(MulStrategy):
         lb = len(b)
         if la <= 0 or lb == 0:
             return
-        kmax = la + lb - 1
-        if kmax > n:
-            kmax = n
-        t = -1 if negate else 1
-        if la > _KRON and lb > _KRON:
-            _kron(c.sub(0, kmax), 1, t, a.sub(0, la), b, 0)
-        else:
-            _acc_columns(c, a, b, la, lb, kmax, t)
+        _kron(c.sub(0, min(la + lb - 1, n)), 1, -1 if negate else 1, a.sub(0, la), b, 0)
         scope = a.field.scope
         if scope is not None:
             # sum over i < la of min(lb, n - i): q rows of lb pairs, then a ramp
@@ -124,27 +114,11 @@ class Schoolbook(MulStrategy):
         lc, ly = len(c), len(y)
         if len(x) != max(lc + ly - 1, 0):
             raise LengthMismatch(f"middle product needs len x = {lc} + {ly} - 1, got {len(x)}")
-        t = -1 if negate else 1
-        if lc > _KRON and ly > _KRON:
-            _kron(c, 1, t, x, y.reversed(), ly - 1)
-        else:
-            for i in range(lc):
-                _mac(c, i, 1, t, x, i, y, 0, ly)
+        if lc and ly:
+            _kron(c, 1, -1 if negate else 1, x, y.reversed(), ly - 1)
         scope = x.field.scope
         if scope is not None:
             scope.count(adds=lc * ly, muls=lc * ly)
-
-
-def _acc_columns(c, a, b, la, lb, kmax, t):
-    """c[k] += t * sum_{i+j=k} a[i]*b[j] for k < kmax, one `_mac` per column.
-
-    b is read through its reversed view, so each column is a dot product
-    of two windows.
-    """
-    br = b.reversed() if lb > 1 else b
-    for k in range(kmax):
-        i = k - lb + 1 if k >= lb else 0
-        _mac(c, k, 1, t, a, i, br, i + lb - 1 - k, (k + 1 if k < la else la) - i)
 
 
 _DEFAULT = Schoolbook()

@@ -12,14 +12,18 @@ place that zero-extends a shorter operand, and `vec_rotate`.
 
 This is the only module that knows how coefficients are stored.  Every
 arithmetic loop over storage is one of four strided kernels below --
-`_mac` (multiply-accumulate one output by a dot product of two windows),
 `_kron` (accumulate a run of coefficients of a product, by Kronecker
 substitution: blocks packed into integers and multiplied as integers),
+`_mac` (multiply-accumulate one output by a dot product of two windows),
 `_axpy` and `_scale` -- and the quadratic kernels of the other modules are
-short loops of calls to them.  `_axpy` and `_scale` allocate nothing;
-`_mac` sums a long window over slices of at most `_BLOCK` coefficients
-and `_kron` packs blocks of at most `_BLOCK` coefficients, so their
-temporaries are bounded by a constant whatever the window length.
+short loops of calls to them.  Every product, whatever its size, is one
+`_kron` call; `_mac` serves only loops whose outputs each depend on the
+last: the rows of the triangular Toeplitz solve and the long-division
+baselines `quad_rem` and `quad_rem_overplace`.  `_axpy` and `_scale`
+allocate nothing; `_mac` sums a long window over slices of at most
+`_BLOCK` coefficients and `_kron` packs blocks of at most `_BLOCK`
+coefficients, so their temporaries are bounded by a constant whatever
+the window length.
 """
 
 from __future__ import annotations
@@ -209,7 +213,6 @@ def snapshot(*regions) -> Snapshot:
 
 _SHORT = 16     # longest dot product that `_mac` sums by an index loop
 _BLOCK = 128    # longest window a kernel takes of an operand at once
-_KRON = 8       # products whose operands are all longer than this go through `_kron`
 assert array("Q").itemsize == 8
 
 

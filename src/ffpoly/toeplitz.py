@@ -19,7 +19,7 @@ from __future__ import annotations
 from .conv import LengthMismatch, conv_acc, short_acc
 from .instrument import tracked
 from .mulbase import MulStrategy, SingularDiagonal, _resolve
-from .region import _KRON, CoeffRegion, _check_disjoint, _kron, _mac, split_blocks
+from .region import CoeffRegion, _check_disjoint, _kron, _mac, split_blocks
 
 
 class CirculantView:
@@ -102,35 +102,23 @@ def rect_toeplitz_acc(c: CoeffRegion, view: ToeplitzView, b: CoeffRegion,
 # a[m-1], ..., a[0] top to bottom (diagonal a[m-1]), which is
 # J . upper(reverse(a)) . J for the exchange matrix J.
 
-def _tri_sweep(a, b, s: int, t: int, ascending: bool) -> None:
-    """b[i] <- s*b[i] + t * (off-diagonal part of row i of upper(a)) . b.
-
-    Row i reads only b[i+1:]: the original entries in an ascending sweep
-    (multiply), the already solved ones in a descending sweep (solve).
-    """
-    m = len(b)
-    for i in (range(m) if ascending else range(m - 1, -1, -1)):
-        _mac(b, i, s, t, a, 1, b, i + 1, m - 1 - i)
-
-
 def _quad_tri_toeplitz_mul(a, b):
-    """b <- upper(a) . b; above `_KRON`, b[i] = (rev a * b)[m-1+i] as one product."""
+    """b <- upper(a) . b as one product: b[i] = (rev a * b)[m-1+i]."""
     field = b.field
     m = len(b)
-    if m > _KRON:
-        _kron(b, 0, 1, a.reversed(), b, m - 1)
-    else:
-        _tri_sweep(a, b, a[0], 1, True)
+    _kron(b, 0, 1, a.reversed(), b, m - 1)
     scope = field.scope
     if scope is not None:
         scope.count(adds=m * (m - 1) // 2, muls=m * (m + 1) // 2)
 
 
 def _quad_tri_toeplitz_solve(a, b):
+    """b <- upper(a)^{-1} . b, descending: row i reads the solved b[i+1:]."""
     field = b.field
     m = len(b)
     inv_diag = field.inv(a[0])
-    _tri_sweep(a, b, inv_diag, -inv_diag, False)
+    for i in range(m - 1, -1, -1):
+        _mac(b, i, inv_diag, -inv_diag, a, 1, b, i + 1, m - 1 - i)
     scope = field.scope
     if scope is not None:
         scope.count(adds=m * (m - 1) // 2, muls=m * (m - 1) // 2 + m)

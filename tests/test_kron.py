@@ -1,10 +1,10 @@
-"""The packed (Kronecker) product path of `Schoolbook` and of the triangular base case.
+"""The packed (Kronecker) product kernel of `Schoolbook` and of the triangular base case.
 
 Every case is checked against a plain index-loop oracle, on forward and
 reversed views (a reversed window that ends at physical index 0 is the
-slice-end corner case), at lengths around the cutoff and around
-multiples of the block width, and with the op counts `Schoolbook`
-reports for the index loop.
+slice-end corner case), at lengths from 1 up and around multiples of
+the block width, and with the op counts `Schoolbook` reports for the
+index loop.
 """
 
 import random
@@ -13,12 +13,11 @@ import tracemalloc
 import pytest
 
 from ffpoly import Buffer, Field, Schoolbook, measure
-from ffpoly.region import _BLOCK, _KRON, _kron
+from ffpoly.region import _BLOCK, _kron
 from ffpoly.toeplitz import _quad_tri_toeplitz_mul
 
 PRIMES = (2, 3, 251, 65521, (1 << 31) - 1, (1 << 61) - 1)
-LENGTHS = (_KRON - 1, _KRON, _KRON + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK,
-           2 * _BLOCK + 1)
+LENGTHS = (1, 2, 8, 9, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1)
 
 
 def _view(f, values, rev, pad):
@@ -109,7 +108,7 @@ def test_packed_triangular_multiply_matches_the_oracle(p):
     # the divisor's degree, whatever the threshold
     f = Field(p)
     rng = random.Random(p + 1)
-    for m in LENGTHS + (1, 2 * _BLOCK, 3 * _BLOCK - 1):
+    for m in LENGTHS + (3 * _BLOCK - 1,):
         for worst in (False, True):
             a, b = _operands(rng, p, m, m, worst=worst)
             av, bv = _view(f, a, rng.random() < 0.5, 0), _view(f, b, rng.random() < 0.5, 0)
@@ -137,10 +136,9 @@ def test_slots_hold_the_largest_sum_on_both_sides_of_a_word_boundary(p, short, l
             c = Buffer(f, [0] * len(z)).region()
             _kron(c, 1, 1, Buffer(f, a).region(), Buffer(f, b).region(), 0)
             assert c.to_list() == [v % p for v in z]
-            if n > _KRON:
-                c = Buffer(f, [0] * len(z)).region()
-                Schoolbook().acc_mul_full(c, Buffer(f, a).region(), Buffer(f, b).region())
-                assert c.to_list() == [v % p for v in z]
+            c = Buffer(f, [0] * len(z)).region()
+            Schoolbook().acc_mul_full(c, Buffer(f, a).region(), Buffer(f, b).region())
+            assert c.to_list() == [v % p for v in z]
 
 
 def test_packed_temporaries_do_not_grow_with_n():
