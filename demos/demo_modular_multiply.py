@@ -24,8 +24,9 @@ guard.assert_restored()
 print("constrained-degree:", r.to_list(),
       " oracle:", ref_mulmod([2, 1], [1, 2, 3], [1, 0, 1], 7))
 
-# Arbitrary degrees: (1 + X^3) * X^3 mod (1 + X^2) over F5; here the
-# first operand is itself reduced over-place first, used, and rebuilt.
+# Arbitrary degrees: (1 + X^3) * X^3 mod (1 + X^2) over F5; here both
+# operands are longer than b, so each is reduced mod b over-place first,
+# the two remainders are multiplied, and both operands are rebuilt.
 F5 = Field(5)
 r = Buffer.zeros(F5, 2).region()
 a = poly_region(F5, [1, 0, 0, 1])

@@ -32,7 +32,7 @@ from .region import (
 
 
 class BadParameter(ValueError):
-    """Convolution parameter outside the domain: f not canonical, or n = 0."""
+    """Convolution parameter outside the domain: f not a canonical int, or n = 0."""
 
 
 def _conv_quad(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, f: int,
@@ -184,19 +184,20 @@ def conv_acc(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, f: int,
              negate: bool = False, strategy: MulStrategy | None = None) -> None:
     """c += a*b mod (X^n - f) for n = len(c) >= 1 and f in [0, p); the one entry.
 
-    a and b must have length n (else `LengthMismatch`); n = 0 and a
-    non-canonical f raise `BadParameter`; the three regions must be
-    disjoint (else `AliasedOperands`).  All of this is checked before any
-    write.  a and b may be temporarily mutated but are restored exactly;
-    c gains the wrapped product (or loses it, when negate is set).
+    a and b must have length n (else `LengthMismatch`); n = 0 and an f
+    that is not an int in [0, p) raise `BadParameter`; the three regions
+    must be disjoint (else `AliasedOperands`).  All of this is checked
+    before any write.  a and b may be temporarily mutated but are
+    restored exactly; c gains the wrapped product (or loses it, when
+    negate is set).
     """
     n = len(c)
     if len(a) != n or len(b) != n:
         raise LengthMismatch(f"need equal lengths, got {len(a)}, {len(b)}, {n}")
     if n == 0:
         raise BadParameter("empty convolution")
-    if not 0 <= f < c.field.p:
-        raise BadParameter(f"f must be a canonical residue mod {c.field.p}: {f}")
+    if not isinstance(f, int) or not 0 <= f < c.field.p:
+        raise BadParameter(f"f must be a canonical residue mod {c.field.p}: {f!r}")
     _check_disjoint(c, a, b)
     strategy = _resolve(strategy)
     if f == 0:

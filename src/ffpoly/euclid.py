@@ -26,14 +26,17 @@ a are the banded upper-triangular Toeplitz matrix on reversed b applied
 to q, so one banded solve (`toeplitz.banded_upper_solve_overplace`, whose
 blocks are exactly T and G) leaves q there, and one truncated product
 subtracts (b mod X^M) * q from the low M cells.  It is exactly
-reversible; `remainder_acc` wraps it in both directions around one
-accumulation.
+reversible.  `_reduced` reduces an operand in its own storage, yields the
+remainder and rebuilds the operand on exit, even when its user raises;
+`remainder_acc` and `modmul.mulmod_acc_full` divide only through it.
 
 Applying G is a truncated product, G . y = (b mod X^M) * y mod X^M, or
 over-place an upper triangular product on reversed views of y.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 from .conv import LengthMismatch, short_acc
 from .instrument import tracked
@@ -164,25 +167,30 @@ def divmod_over_place_inv(a: CoeffRegion, b: CoeffRegion,
     banded_upper_mul_overplace(b.reversed(), q, strategy)
 
 
+@contextmanager
+def _reduced(x: CoeffRegion, b: CoeffRegion, strategy: MulStrategy | None):
+    """Yield x mod b, the low min(len x, deg b) cells of x; rebuild x on exit."""
+    divmod_over_place(x, b, strategy)
+    try:
+        yield x.sub(0, min(len(x), len(b) - 1))
+    finally:
+        divmod_over_place_inv(x, b, strategy)
+
+
 @tracked
 def remainder_acc(r: CoeffRegion, a: CoeffRegion, b: CoeffRegion,
                   strategy: MulStrategy | None = None) -> None:
     """r += a mod b; both a and b restored exactly.
 
-    Runs the over-place division, adds the remainder block into r, then
-    reverses the division to restore a.
+    Reduces a in its own storage (`_reduced`), adds the remainder into
+    the low cells of r, and rebuilds a.
     """
     strategy = _resolve(strategy)
     m = _divisor_degree(b)
     if len(r) != m:
         raise LengthMismatch(f"accumulator must have length {m}")
     _check_disjoint(r, a, b)
-    n_deg = len(a) - 1
-    if m > n_deg:
-        vec_iadd(r.sub(0, n_deg + 1), a)
-        return
     if m == 0:
         return
-    divmod_over_place(a, b, strategy)
-    vec_iadd(r, a.sub(0, m))
-    divmod_over_place_inv(a, b, strategy)
+    with _reduced(a, b, strategy) as a0:
+        vec_iadd(r.sub(0, len(a0)), a0)

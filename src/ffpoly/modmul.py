@@ -9,16 +9,16 @@ restricted to that window are banded upper-triangular Toeplitz matrices
 whose bands are the reversed operands, reversed a and reversed b, handled
 by the banded routines.
 
-`mulmod_acc_full` lifts the degree constraint: it swaps the operands so
-the shorter one plays a, and when that one still exceeds b it is reduced
-over-place first (leaving [remainder | quotient] in its buffer), used,
-and rebuilt.
+`mulmod_acc_full` lifts the degree constraint by one rule for every
+shape: both operands are reduced mod b in their own storage
+(`euclid._reduced`, a no-op on one already shorter than b), the shorter
+remainder plays a in one `mulmod_acc` call, and both are rebuilt.
 """
 
 from __future__ import annotations
 
 from .conv import LengthMismatch, short_acc
-from .euclid import divmod_over_place, divmod_over_place_inv
+from .euclid import _reduced
 from .instrument import tracked
 from .mulbase import MulStrategy, NonInvertibleLeading, _divisor_degree, _resolve
 from .region import CoeffRegion, _check_disjoint
@@ -75,9 +75,9 @@ def mulmod_acc_full(r: CoeffRegion, a: CoeffRegion, c: CoeffRegion, b: CoeffRegi
                     strategy: MulStrategy | None = None) -> None:
     """r += a*c mod b for arbitrary degrees; a, b, c restored.
 
-    Leading zero coefficients on a and c are ignored.  The shorter
-    operand is reduced mod b over-place when it is still longer than b,
-    and recovered afterwards.
+    Leading zero coefficients on a and c are ignored.  Both operands are
+    reduced mod b in their own storage, the shorter trimmed remainder
+    plays a in one `mulmod_acc` call, and both are rebuilt afterwards.
     """
     strategy = _resolve(strategy)
     m_deg = _divisor_degree(b)
@@ -86,17 +86,7 @@ def mulmod_acc_full(r: CoeffRegion, a: CoeffRegion, c: CoeffRegion, b: CoeffRegi
     _check_disjoint(r, a, c, b)
     if m_deg == 0:
         return
-    at = _trim(a)
-    ct = _trim(c)
-    if len(at) == 0 or len(ct) == 0:
-        return
-    if len(at) > len(ct):
-        at, ct = ct, at
-    if len(at) - 1 <= m_deg:
-        mulmod_acc(r, at, ct, b, strategy)
-        return
-    divmod_over_place(at, b, strategy)
-    a0 = _trim(at.sub(0, m_deg))
-    if len(a0):
-        mulmod_acc(r, a0, ct, b, strategy)
-    divmod_over_place_inv(at, b, strategy)
+    with _reduced(_trim(a), b, strategy) as a0, _reduced(_trim(c), b, strategy) as c0:
+        a0, c0 = sorted((_trim(a0), _trim(c0)), key=len)
+        if len(a0):
+            mulmod_acc(r, a0, c0, b, strategy)

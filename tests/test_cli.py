@@ -180,12 +180,17 @@ def test_bench_deterministic_counts(tmp_path):
 
 def test_bench_matches_pinned_counts(tmp_path):
     # op counts, peak aux and depth are structural; any change to them shows
-    # here as a diff against the committed output
+    # here as a diff against the committed output.  After a deliberate change
+    # to counts or depth, regenerate the files from the repository root with
+    #   ffpoly bench --seed 42 --out tests/data/bench_seed42.csv
+    #   ffpoly bench --mod 2 --sizes 64,256 --seed 42 --out tests/data/bench_gf2_seed42.csv
     data = Path(__file__).resolve().parent / "data"
     for name, args in (("bench_seed42.csv", []),
                        ("bench_gf2_seed42.csv", ["--mod", "2", "--sizes", "64,256"])):
         out = tmp_path / name
         assert main(["bench", *args, "--seed", "42", "--out", str(out)]) == 0
+        # row by row first, so a failure names the rows that changed
+        assert out.read_text().splitlines() == (data / name).read_text().splitlines(), name
         assert out.read_bytes() == (data / name).read_bytes(), name
 
 

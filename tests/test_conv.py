@@ -161,6 +161,15 @@ def test_domain_errors():
         conv_acc(region_of(5, [0, 0]), region_of(5, [1]), region_of(5, [1, 1]), 1)
     with pytest.raises(BadParameter):
         conv_acc(region_of(5, []), region_of(5, []), region_of(5, []), 1)
+    # a float f passed the range test: at n = 4 it wrote floats into c, at
+    # n = 32 pow raised TypeError after c's upper half had changed
+    for n in (4, 32):
+        c = region_of(7, [i % 7 for i in range(n)])
+        a, b = region_of(7, [1] * n), region_of(7, [2] * n)
+        snap = snapshot(c, a, b)
+        with pytest.raises(BadParameter):
+            conv_acc(c, a, b, 2.0)
+        snap.assert_restored()
 
 
 def test_aliased_operands_rejected_before_any_write():

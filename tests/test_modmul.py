@@ -97,7 +97,9 @@ def test_full_matches_constrained_when_applicable():
 
 def test_full_fuzz_all_degree_patterns():
     rng = random.Random(92)
-    patterns = ("L<M<N", "M<L<N", "L=N=M", "L+N<M")
+    # "b | a" and "b | c": that operand is a multiple of b longer than b, so
+    # its remainder trims to empty and no mulmod_acc call runs
+    patterns = ("L<M<N", "M<L<N", "L=N=M", "L+N<M", "b | a", "b | c")
     for p in FIELD_PRIMES:
         for i in range(200):
             pat = patterns[i % len(patterns)]
@@ -111,14 +113,22 @@ def test_full_fuzz_all_degree_patterns():
                 n = l + rng.randrange(1, 16)
             elif pat == "L=N=M":
                 l = m = n = rng.randrange(1, 10)
-            else:
+            elif pat == "L+N<M":
                 m = rng.randrange(2, 14)
                 l = rng.randrange(0, m // 2)
                 n = rng.randrange(0, m - l - 1 - l if m - l - 1 - l > 0 else 1)
                 n = min(n, m - l - 1)
+            else:
+                m = rng.randrange(1, 8)
+                l = m + rng.randrange(1, 12)
+                n = rng.randrange(0, 20) if pat == "b | a" else m + rng.randrange(1, 12)
             a = rand_coeffs(rng, p, l + 1)
             c = rand_coeffs(rng, p, n + 1)
             b = rand_monic_tail(rng, p, m)
+            if pat == "b | a":
+                a = ref_mul(b, rand_monic_tail(rng, p, l - m), p)
+            elif pat == "b | c":
+                c = ref_mul(b, rand_monic_tail(rng, p, n - m), p)
             r0 = rand_coeffs(rng, p, m)
             ra, rc, rb, rr = (region_of(p, x) for x in (a, c, b, r0))
             snap = snapshot(ra, rc, rb)
@@ -127,6 +137,28 @@ def test_full_fuzz_all_degree_patterns():
             want = [(x + y) % p for x, y in zip(r0, ref_mulmod(a, c, b, p))]
             assert rr.to_list() == want, (p, pat, l, n, m)
             snap.assert_restored()
+
+
+def test_full_restores_operands_when_the_product_raises(monkeypatch):
+    # both operands are longer than b, so both sit reduced to
+    # [remainder | quotient] when the constrained product runs
+    rng = random.Random(98)
+    p, m = 65521, 6
+    a = region_of(p, rand_monic_tail(rng, p, 14))
+    c = region_of(p, rand_monic_tail(rng, p, 20))
+    b = region_of(p, rand_monic_tail(rng, p, m))
+    snap = snapshot(a, c, b)
+
+    class Fault(Exception):
+        pass
+
+    def fail(*args, **kwargs):
+        raise Fault
+
+    monkeypatch.setattr("ffpoly.modmul.mulmod_acc", fail)
+    with pytest.raises(Fault):
+        mulmod_acc_full(_zeros(p, m), a, c, b)
+    snap.assert_restored()
 
 
 def test_commutativity():
