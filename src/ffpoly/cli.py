@@ -4,7 +4,8 @@ Polynomial file format (bit-exact):
   line 1: the modulus p in decimal;
   line 2: space-separated coefficients, low degree first, canonical
           residues in decimal; an empty line is the zero polynomial;
-  trailing newline.
+  trailing newline.  Numbers are plain ASCII digits; a sign, an
+  underscore or a third line is a parse error.
 
 Commands: rem, quorem, aper, mulmod, conv, bench, selftest.
 Exit codes: 0 ok, 1 violated precondition, 2 parse error.
@@ -34,6 +35,13 @@ class CliPreconditionError(Exception):
     pass
 
 
+def _decimal(tok: str) -> int:
+    """tok as an int if it is plain ASCII digits; `int` also takes signs and underscores."""
+    if not (tok.isascii() and tok.isdigit()):
+        raise ValueError(f"not a decimal number: {tok!r}")
+    return int(tok)
+
+
 def read_poly(path: str) -> tuple[int, list[int]]:
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -43,13 +51,15 @@ def read_poly(path: str) -> tuple[int, list[int]]:
     lines = text.splitlines()
     if not lines:
         raise CliParseError(f"{path}: empty file")
+    if len(lines) > 2:
+        raise CliParseError(f"{path}: {len(lines)} lines, expected at most 2")
     try:
-        p = int(lines[0].strip())
+        p = _decimal(lines[0].strip())
     except ValueError as e:
         raise CliParseError(f"{path}: bad modulus line: {lines[0]!r}") from e
     coeff_line = lines[1].strip() if len(lines) > 1 else ""
     try:
-        coeffs = [int(tok) for tok in coeff_line.split()] if coeff_line else []
+        coeffs = [_decimal(tok) for tok in coeff_line.split()] if coeff_line else []
     except ValueError as e:
         raise CliParseError(f"{path}: bad coefficient line") from e
     for v in coeffs:

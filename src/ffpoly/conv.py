@@ -3,7 +3,7 @@
 One entry point, `conv_acc`, checks its arguments once, before any write,
 and routes on (f, n):
 
-  f = 0                    -> `short_acc`, the truncated product;
+  f = 0                    -> `short_acc`, one `acc_mul_short` call;
   n <= threshold           -> `_conv_quad`, two packed products (`region._kron`);
   n even, f not 0, 1       -> `_conv_even_f`, three half-length products;
   otherwise                -> `_conv_split_f`, four products at t = ceil(n/2).
@@ -18,9 +18,8 @@ number of scalar operations; its operands are freely mutated during a
 call but are always restored exactly.  A product that wraps round the
 end of c lands on one contiguous window after c is rotated in place
 (`vec_rotate`), and c is rotated back before the call returns, so every
-product target is a single region.  The truncated product splits in
-halves too, into one full product and two half-length truncated ones,
-and writes nothing but c.
+product target is a single region.  The truncated product is one call
+of the strategy's `acc_mul_short` and writes nothing but c.
 """
 
 from __future__ import annotations
@@ -133,50 +132,16 @@ def short_acc(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion,
               negate: bool = False, strategy: MulStrategy | None = None) -> None:
     """c += a*b mod X^n with n = len(c), the truncated (0-convolution) product.
 
-    a and b may have any lengths: they are cut to la = min(len a, n) and
-    lb = min(len b, n), as nothing above reaches below X^n, and a product
-    that then fits, la + lb - 1 <= n, is one full product.  Otherwise the
-    operands split at t = ceil(n/2), h = floor(n/2): the full product of
-    the low parts a[0:t]*b[0:t] lands on c[0:2t-1], and the two cross terms
-    that reach below X^n, a[0:h]*b[t:lb] and a[t:la]*b[0:h], are truncated
-    products onto c[t:n].  Only c is written and no field element outside
-    {0, 1} is used, so one path serves every field, GF(2) included.
-
-    Under `Schoolbook` each pair (i, j) with i < la, j < lb and i + j < n
-    costs one mul and one add: n(n+1)/2 of each for square operands.  The
-    square cost S(n) = M(t) + 2*S(h) is O(M(n)) whenever M(n) =
-    Theta(n^(1+eps)).  For a quasi-linear M (an NTT strategy) the split
-    costs M(n)*log n; there, two wrapped convolutions whose quotient parts
-    cancel (lambda*a mod X^n - 1 and (1 - lambda)*a mod X^n -
-    lambda/(lambda - 1)) cost O(M(n)) and would be the right route again.
-    c must be disjoint from a and b (else `AliasedOperands`, before any
-    write).
+    a and b may have any lengths; nothing of them above X^n is read.  The
+    product is one `MulStrategy.acc_mul_short` call, so its cost is the
+    strategy's: under `Schoolbook` each pair (i, j) with i < len a,
+    j < len b and i + j < n costs one mul and one add, n(n+1)/2 of each
+    for square operands.  Only c is written, and one path serves every
+    field, GF(2) included.  c must be disjoint from a and b (else
+    `AliasedOperands`, before any write).
     """
     _check_disjoint(c, a, b)
-    strategy = _resolve(strategy)
-    n = len(c)
-    if len(a) > n:
-        a = a.sub(0, n)
-    if len(b) > n:
-        b = b.sub(0, n)
-    if n <= strategy.threshold:
-        strategy.acc_mul_short(c, a, b, n, negate)
-        return
-    la, lb = len(a), len(b)
-    if la == 0 or lb == 0:
-        return
-    if la + lb - 1 <= n:
-        acc_mul_full(c.sub(0, la + lb - 1), a, b, negate=negate, strategy=strategy)
-        return
-    h = n // 2
-    t = n - h
-    la0, lb0 = min(la, t), min(lb, t)
-    acc_mul_full(c.sub(0, la0 + lb0 - 1), a.sub(0, la0), b.sub(0, lb0), negate=negate,
-                 strategy=strategy)
-    if lb > t:
-        short_acc(c.sub(t, n), a, b.sub(t, lb), negate, strategy)
-    if la > t:
-        short_acc(c.sub(t, n), a.sub(t, la), b, negate, strategy)
+    _resolve(strategy).acc_mul_short(c, a, b, len(c), negate)
 
 
 @tracked

@@ -57,6 +57,13 @@ class MulStrategy:
     matrix-vector product.  Every target c is one contiguous `CoeffRegion`,
     disjoint from the operands.  threshold: length at or below which
     callers should switch to their quadratic base case.
+
+    Callers make one `acc_mul_short` call per truncated product and never
+    split it, so it must cost O(M(n)) by itself.  A strategy with no
+    direct truncated product in that bound (Karatsuba, say) splits it over
+    its own `acc_mul_full` at t = ceil(n/2), h = floor(n/2): a[0:t]*b[0:t]
+    onto c[0:2t-1], then the cross terms a[0:h]*b[t:] and a[t:]*b[0:h] as
+    truncated products onto c[t:n], for S(n) = M(t) + 2*S(h).
     """
 
     name = "abstract"

@@ -241,27 +241,21 @@ def _mac(dst: CoeffRegion, k: int, s: int, t: int,
             or k >= dst.length or i + n > a.length or j + n > b.length):
         raise VirtualWrite("kernel access outside a region's coefficients")
     da = a.buf.data
-    sa = a.step
-    ia = a.start + i * sa
     db = b.buf.data
-    sb = b.step
-    ib = b.start + j * sb
     acc = 0
     if n <= _SHORT:
+        sa = a.step
+        ia = a.start + i * sa
+        sb = b.step
+        ib = b.start + j * sb
         for _ in range(n):
             acc += da[ia] * db[ib]
             ia += sa
             ib += sb
     else:
-        while n > 0:
-            c = _BLOCK if n > _BLOCK else n
-            ea = ia + c * sa
-            eb = ib + c * sb
-            # a reversed window ending at physical index 0 stops at -1,
-            # which as a slice end means "the last element"
-            acc += sum(map(mul, da[ia:ea if ea >= 0 else None:sa],
-                           db[ib:eb if eb >= 0 else None:sb]))
-            ia, ib, n = ea, eb, n - c
+        for off in range(0, n, _BLOCK):
+            c = min(_BLOCK, n - off)
+            acc += sum(map(mul, da[_window(a, i + off, c)], db[_window(b, j + off, c)]))
     dd = dst.buf.data
     kk = dst.start + k * dst.step
     dd[kk] = (s * dd[kk] + t * acc) % dst.buf.field.p

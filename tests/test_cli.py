@@ -130,6 +130,10 @@ def test_exit_code_parse_errors(tmp_path, capsys):
     assert main(["rem", str(tmp_path / "missing.poly"), ok]) == 2
     noncanon = write(tmp_path / "nc.poly", "7\n9 1\n")
     assert main(["rem", noncanon, ok]) == 2
+    # lines past the second, and tokens int() takes but the format does
+    # not (underscores, signs), were accepted
+    for text in ("7\n1 2\n3 4\n", "7\n0_1 2\n", "7\n+2 1\n", "0_7\n1 2\n"):
+        assert main(["rem", write(tmp_path / "x.poly", text), ok]) == 2, text
     binary = tmp_path / "bin.poly"
     binary.write_bytes(b"7\n1 \xff 2\n")
     capsys.readouterr()

@@ -146,10 +146,12 @@ def test_dispatcher_routing(monkeypatch):
                  strategy=Schoolbook(thr))
         assert seen.pop() == route, (n, f, thr)
     assert seen == []
-    # above the threshold the truncated product is one full product of the
-    # low halves and two half-length truncated ones; no wrapped variant runs
-    short_acc(region_of(5, [0] * 32), region_of(5, [1] * 32), region_of(5, [2] * 32))
-    assert seen == ["full", "short", "short"]
+    # above the threshold, at any threshold, the truncated product is one
+    # acc_mul_short call of the strategy: no full product, no wrapped variant
+    strategy = _RecordingSchoolbook(1)
+    short_acc(region_of(5, [0] * 32), region_of(5, [1] * 32), region_of(5, [2] * 32),
+              strategy=strategy)
+    assert seen == [] and strategy.targets == [("short", CoeffRegion, 32, 32)]
     with pytest.raises(BadParameter):
         conv_acc(region_of(5, []), region_of(5, []), region_of(5, []), 0)
     with pytest.raises(BadParameter):
@@ -212,18 +214,25 @@ def test_fuzz_all_routes():
 
 
 class _RecordingSchoolbook(Schoolbook):
+    """Records (method, type of c, len c, product length) for every product."""
+
     def __init__(self, threshold):
         super().__init__(threshold)
         self.targets = []
 
     def acc_mul_full(self, c, a, b, negate=False):
-        self.targets.append((type(c), len(c), len(a) + len(b) - 1))
+        self.targets.append(("full", type(c), len(c), len(a) + len(b) - 1))
         super().acc_mul_full(c, a, b, negate)
+
+    def acc_mul_short(self, c, a, b, n, negate=False):
+        self.targets.append(("short", type(c), len(c), n))
+        super().acc_mul_short(c, a, b, n, negate)
 
 
 def test_every_full_product_target_is_one_exact_region():
     # the MulStrategy contract a new strategy has to meet: each full
-    # product lands on one contiguous CoeffRegion of exactly its length
+    # product lands on one contiguous CoeffRegion of exactly its length,
+    # and each truncated one (f = 0) on one of length n
     rng = random.Random(0x5E)
     p = 65521
     for n in range(17, 41):
@@ -236,8 +245,10 @@ def test_every_full_product_target_is_one_exact_region():
                 assert rc.to_list() == [
                     (x + y) % p for x, y in zip(c, ref_convolution(a, b, f, n, p))]
                 assert strategy.targets, (n, f, thr)
-                for kind, got, need in strategy.targets:
-                    assert kind is CoeffRegion and got == need, (n, f, thr, kind, got, need)
+                for method, kind, got, need in strategy.targets:
+                    assert kind is CoeffRegion and got == need, (n, f, thr, method, kind, got)
+                if f == 0:
+                    assert strategy.targets == [("short", CoeffRegion, n, n)], (n, thr)
 
 
 def test_exhaustive_small_sweep_over_f5():
@@ -251,7 +262,7 @@ def test_exhaustive_small_sweep_over_f5():
 
 
 def test_exhaustive_small_sweep_over_gf2():
-    # the half split runs at every length, through odd and even halves
+    # the wrapped routes split at every length, through odd and even halves
     rng = random.Random(0xE2)
     for n in range(1, 41):
         for f in (0, 1):
@@ -264,8 +275,8 @@ def test_exhaustive_small_sweep_over_gf2():
 def test_short_acc_costs_a_triangle_of_products():
     # under Schoolbook, at every threshold, each pair (i, j) with i < la,
     # j < lb and i + j < n costs one mul and one add: n(n+1)/2 for square
-    # operands, S(n) = M(ceil(n/2)) + 2 S(floor(n/2)), and as many for
-    # ragged ones
+    # operands, and as many for ragged ones; one acc_mul_short call
+    # carries them all, whatever the threshold
     rng = random.Random(0x5A)
     for p in (2, 65521):
         f = field(p)
@@ -283,26 +294,29 @@ def test_short_acc_costs_a_triangle_of_products():
 
 
 def test_truncated_product_leaves_operands_when_the_depth_guard_raises():
-    # the split writes only c, so a guard that stops it at any depth
-    # leaves a and b bit-identical
+    # the truncated product writes only c, so every depth ceiling below
+    # the unguarded peak raises and leaves a and b bit-identical
     rng = random.Random(0x64)
     n = 64
     for p in (2, 65521):
         f = field(p)
-        raised = 0
-        for k in range(1, 64):
+
+        def run(**ceiling):
             a0, b0 = rand_coeffs(rng, p, n), rand_coeffs(rng, p, n)
             a, b = poly_region(f, a0), poly_region(f, b0)
             c = poly_region(f, rand_coeffs(rng, p, n))
             try:
-                with measure(f, max_depth=k):
+                with measure(f, **ceiling) as scope:
                     conv_acc(c, a, b, 0)
-            except GuardViolation:
-                raised += 1
-                assert a.to_list() == a0 and b.to_list() == b0, (p, k)
-            else:
-                break
-        assert raised >= 2, p
+            finally:
+                assert a.to_list() == a0 and b.to_list() == b0, (p, ceiling)
+            return scope.peak_depth
+
+        peak = run()
+        assert peak >= 2, p
+        for k in range(peak):
+            with pytest.raises(GuardViolation):
+                run(max_depth=k)
 
 
 def test_short_acc_matches_truncated_product_for_any_lengths():

@@ -144,7 +144,9 @@ def test_slots_hold_the_largest_sum_on_both_sides_of_a_word_boundary(p, short, l
 def test_packed_temporaries_do_not_grow_with_n():
     # The traced peak of one call, minus what it keeps (the new ints written
     # into c), is a few block-sized integers and lists whatever n; packing
-    # one whole operand of 4096 coefficients would alone take 32 KB.
+    # one whole operand of 4096 coefficients would alone take 32 KB.  The
+    # truncated product gets an operand of 2n, longer than it reads, as
+    # callers pass them uncut.
     f = Field(65521)
     rng = random.Random(5)
     s = Schoolbook()
@@ -153,7 +155,9 @@ def test_packed_temporaries_do_not_grow_with_n():
         def cells(k):
             return Buffer(f, [rng.randrange(256, 65521) for _ in range(k)]).region()
         a, b, c, x, cm = cells(n), cells(n), cells(2 * n - 1), cells(2 * n - 1), cells(n)
-        for call in (lambda: s.acc_mul_full(c, a, b), lambda: s.acc_mul_middle(cm, x, b)):
+        b_long = cells(2 * n)
+        for call in (lambda: s.acc_mul_full(c, a, b), lambda: s.acc_mul_middle(cm, x, b),
+                     lambda: s.acc_mul_short(cm, a, b_long, n)):
             call()
             tracemalloc.start()
             try:
