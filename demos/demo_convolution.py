@@ -41,8 +41,8 @@ guard.assert_restored()
 print("n=8 f=3 restored:", a.to_list(), b.to_list())
 print("          result:", c.to_list())
 
-# GF(2) has no scaling tricks available, so the truncated product runs a
-# dedicated three-way split; it is exercised whenever f=0 and p=2.
+# GF(2) takes the same path as every field: f=0 is one truncated product,
+# a single strategy call whatever the threshold.
 F2 = Field(2)
 a = poly_region(F2, [1, 1, 1, 0, 1, 1, 0, 1, 1])
 b = poly_region(F2, [1, 0, 1, 1, 1, 0, 0, 1, 0])

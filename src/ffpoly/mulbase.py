@@ -55,8 +55,9 @@ class MulStrategy:
     sum_{j < len y} x[i+j]*y[j] with len x = len c + len y - 1 (else
     `LengthMismatch`, before any write), which is any Toeplitz
     matrix-vector product.  Every target c is one contiguous `CoeffRegion`,
-    disjoint from the operands.  threshold: length at or below which
-    callers should switch to their quadratic base case.
+    disjoint from the operands.  threshold: the triangular Toeplitz
+    recursion stops at or below it, and `conv_acc` takes its three-product
+    even route only above it.
 
     Callers make one `acc_mul_short` call per truncated product and never
     split it, so it must cost O(M(n)) by itself.  A strategy with no
@@ -157,7 +158,12 @@ def acc_mul_full(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, negate: bool = 
 @tracked
 def acc_mul_short(c: CoeffRegion, a: CoeffRegion, b: CoeffRegion, n: int,
                   negate: bool = False, strategy: MulStrategy | None = None) -> None:
-    """c[k] += sum_{i+j=k, k<n} a[i]*b[j]; c disjoint from a and b."""
+    """c[k] += sum_{i+j=k, k<n} a[i]*b[j]; c disjoint from a and b.
+
+    n < 0 raises `LengthMismatch`, before any write.
+    """
+    if n < 0:
+        raise LengthMismatch(f"truncation length must be >= 0, got {n}")
     if len(c) < n:
         raise TargetTooShort(f"target {len(c)} < truncation length {n}")
     _check_disjoint(c, a, b)

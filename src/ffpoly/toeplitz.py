@@ -16,7 +16,7 @@ division is that solve on the reversed divisor.
 
 from __future__ import annotations
 
-from .conv import LengthMismatch, conv_acc, short_acc
+from .conv import LengthMismatch, _check_wrap, conv_acc, short_acc
 from .instrument import tracked
 from .mulbase import MulStrategy, SingularDiagonal, _resolve
 from .region import CoeffRegion, _check_disjoint, _kron, _mac, split_blocks
@@ -48,10 +48,12 @@ def circulant_acc(c: CoeffRegion, view: CirculantView, b: CoeffRegion,
                   negate: bool = False, strategy: MulStrategy | None = None) -> None:
     """c += Circ_f(a) . b for a = view.vec; a and b restored exactly.
 
-    All three empty is a no-op; otherwise `conv_acc` on reversed c and b
-    checks lengths, f and aliasing before any write.
+    f is checked first (`BadParameter`); then all three empty is a no-op,
+    and otherwise `conv_acc` on reversed c and b checks lengths and
+    aliasing before any write.
     """
     a = view.vec
+    _check_wrap(c.field, view.f)
     if len(c) == len(a) == len(b) == 0:
         return
     conv_acc(c.reversed(), a, b.reversed(), view.f, negate, strategy)

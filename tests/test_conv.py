@@ -75,7 +75,7 @@ def test_even_f_trace_and_degenerates():
 
 
 def test_even_1_examples():
-    # f = 1 above the threshold: conv_acc takes the four-product split
+    # f = 1 above the threshold: conv_acc takes the two truncated products
     got, want = _conv_case(5, [1, 2], [3, 1], [1, 1], 1, 1)
     assert got == want == [1, 3]
     # constant-1 multiplicand: c += a
@@ -98,17 +98,17 @@ def test_odd_f_examples():
     assert got == want
 
 
-def test_split_f_covers_even_lengths_with_a_general_wrap():
-    # conv_acc sends even n with f outside {0, 1} to _conv_even_f; the split
-    # step is correct there too, at every n >= 2 whatever the threshold, and
-    # restores a and b bit for bit
+def test_two_products_cover_even_lengths_with_a_general_wrap():
+    # above the threshold conv_acc sends even n with f outside {0, 1} to
+    # _conv_even_f; at or below it the two truncated products serve those
+    # shapes too, and leave a and b bit for bit
     rng = random.Random(0x5F)
     for p in (5, 65521):
-        for thr in THRESHOLDS:
-            for n in range(2, 41, 2):
+        for n in range(2, 41, 2):
+            for thr in (n, 2 * n):
                 for f in (2, 3, 4) if p == 5 else (2, rng.randrange(3, p)):
                     a, b, c = (rand_coeffs(rng, p, n) for _ in range(3))
-                    got, want = _conv_case(p, a, b, c, f, thr, fn=conv._conv_split_f)
+                    got, want = _conv_case(p, a, b, c, f, thr)
                     assert got == want, (p, thr, n, f)
 
 
@@ -125,27 +125,29 @@ def test_short_examples():
 
 
 def test_dispatcher_routing(monkeypatch):
-    # at the default threshold a short wrapped convolution is conv_acc's
-    # own base case: one tracked frame, no variant step below it
+    # at the default threshold a short wrapped convolution is two truncated
+    # products: conv_acc's frame and one acc_mul_short frame below it
     f5 = field(5)
     with measure(f5) as sc:
         conv_acc(poly_region(f5, [0] * 8), poly_region(f5, [1] * 8),
                  poly_region(f5, [2] * 8), 2)
-    assert sc.peak_depth == 1
-    # conv_acc reaches every route through the module's names; record
-    # which one it runs
+    assert sc.peak_depth == 2
+    # conv_acc reaches both routes through the module's names; record
+    # which one it runs: "even", or one "short" per truncated product
     seen = []
-    for route, name in (("short", "short_acc"), ("quad", "_conv_quad"),
-                        ("split", "_conv_split_f"), ("even_general", "_conv_even_f"),
-                        ("full", "acc_mul_full")):
+    for route, name in (("short", "acc_mul_short"), ("even", "_conv_even_f"),
+                        ("full", "acc_mul_full"), ("short_acc", "short_acc")):
         monkeypatch.setattr(conv, name, lambda *args, route=route, **kw: seen.append(route))
-    for n, f, thr, route in ((8, 0, 16, "short"), (8, 2, 16, "quad"), (7, 1, 16, "quad"),
-                             (7, 2, 1, "split"), (7, 1, 1, "split"), (8, 1, 1, "split"),
-                             (8, 3, 1, "even_general")):
+    two = ["short", "short"]
+    for n, f, thr, routes in ((8, 0, 16, ["short"]), (8, 0, 1, ["short"]),
+                              (1, 3, 16, ["short"]), (1, 3, 1, ["short"]),
+                              (8, 2, 16, two), (8, 2, 8, two), (7, 1, 16, two),
+                              (7, 2, 1, two), (7, 1, 1, two), (8, 1, 1, two),
+                              (8, 3, 1, ["even"]), (8, 2, 7, ["even"]), (2, 4, 1, ["even"])):
         conv_acc(region_of(5, [0] * n), region_of(5, [1] * n), region_of(5, [2] * n), f,
                  strategy=Schoolbook(thr))
-        assert seen.pop() == route, (n, f, thr)
-    assert seen == []
+        assert seen == routes, (n, f, thr)
+        seen.clear()
     # above the threshold, at any threshold, the truncated product is one
     # acc_mul_short call of the strategy: no full product, no wrapped variant
     strategy = _RecordingSchoolbook(1)
@@ -232,10 +234,11 @@ class _RecordingSchoolbook(Schoolbook):
 def test_every_full_product_target_is_one_exact_region():
     # the MulStrategy contract a new strategy has to meet: each full
     # product lands on one contiguous CoeffRegion of exactly its length,
-    # and each truncated one (f = 0) on one of length n
+    # and each truncated one on one of its truncation length; outside the
+    # even route that is one of length n, then, for f != 0, one of n - 1
     rng = random.Random(0x5E)
     p = 65521
-    for n in range(17, 41):
+    for n in range(1, 41):
         for f in (0, 1, 2, 3):
             for thr in (1, 2, 4):
                 strategy = _RecordingSchoolbook(thr)
@@ -247,8 +250,12 @@ def test_every_full_product_target_is_one_exact_region():
                 assert strategy.targets, (n, f, thr)
                 for method, kind, got, need in strategy.targets:
                     assert kind is CoeffRegion and got == need, (n, f, thr, method, kind, got)
-                if f == 0:
-                    assert strategy.targets == [("short", CoeffRegion, n, n)], (n, thr)
+                if n % 2 == 0 and f > 1 and n > thr:
+                    continue
+                want = [("short", CoeffRegion, n, n)]
+                if f != 0 and n > 1:
+                    want.append(("short", CoeffRegion, n - 1, n - 1))
+                assert strategy.targets == want, (n, f, thr)
 
 
 def test_exhaustive_small_sweep_over_f5():
@@ -341,8 +348,9 @@ def test_short_acc_matches_truncated_product_for_any_lengths():
 
 
 def test_recurrence_structure_even_one():
-    # above the threshold the 1-convolution is exactly four products that
-    # cover the n^2 pairs (i, j) once each, with no scaling, at either parity
+    # the 1-convolution is exactly two truncated products, the low and the
+    # reversed high, that cover the n^2 pairs (i, j) once each, with no
+    # scaling, at either parity
     f = field(65521)
     rng = random.Random(50)
     for n in (32, 33, 63, 64, 128):

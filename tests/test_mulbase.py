@@ -127,6 +127,15 @@ def test_acc_mul_short_examples():
     assert c.to_list() == [4]
 
 
+def test_acc_mul_short_rejects_a_negative_length_before_writing():
+    # n < 0 used to return having done nothing
+    c, a, b = region_of(7, [1, 2]), region_of(7, [3, 4]), region_of(7, [5, 6])
+    snap = snapshot(c, a, b)
+    with pytest.raises(LengthMismatch):
+        acc_mul_short(c, a, b, -1)
+    snap.assert_restored()
+
+
 def test_acc_mul_short_matches_truncated_oracle():
     rng = random.Random(31)
     for p in (2, 7, 65521):

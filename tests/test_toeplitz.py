@@ -4,6 +4,7 @@ import pytest
 
 from ffpoly import (
     AliasedOperands,
+    BadParameter,
     Buffer,
     CirculantView,
     LengthMismatch,
@@ -267,6 +268,17 @@ def test_length_checks():
                             region_of(5, [1, 2]), region_of(5, [1, 1]))
     with pytest.raises(LengthMismatch):
         tri_toeplitz_mul_overplace(region_of(5, [1]), region_of(5, [1, 2]), "lower")
+
+
+def test_circulant_checks_f_before_the_empty_no_op():
+    # three empty regions used to return before f was looked at, so a wrap
+    # scalar outside [0, p) passed
+    def empty():
+        return region_of(7, [])
+    for f in (8, -1, 2.0):
+        with pytest.raises(BadParameter):
+            circulant_acc(empty(), CirculantView(empty(), f), empty())
+    circulant_acc(empty(), CirculantView(empty(), 6), empty())
 
 
 def test_quadratic_growth_ratio():
