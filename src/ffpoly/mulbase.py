@@ -84,11 +84,12 @@ class Schoolbook(MulStrategy):
     """Quadratic accumulating products; one mul and one add per pair multiplied.
 
     Every product is one `region._kron` call, which packs blocks of at
-    most `region._BLOCK` coefficients into integers with 64-bit-word slots
-    wide enough for the exact sums, multiplies them as integers and
-    reduces each output coefficient once.  That evaluates the same
-    bilinear form as the index loop, so the counts are still reported per
-    pair, from the shapes.
+    most `region._BLOCK` coefficients into integers with slots wide enough
+    for the exact sums (whole bytes when that sheds at least
+    `region._SHED` bytes from a block, whole 64-bit words otherwise),
+    multiplies them as integers and reduces each output coefficient once.
+    That evaluates the same bilinear form as the index loop, so the counts
+    are still reported per pair, from the shapes.
     """
 
     name = "schoolbook"

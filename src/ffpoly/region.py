@@ -1,10 +1,12 @@
 """Coefficient buffers and the window views all operations work on.
 
-A `Buffer` owns a flat list of canonical residues.  A `CoeffRegion` is a
-unit-stride window over one buffer, forward or reversed, and holds
-exactly the coefficients it covers.  Every product lands on one such
-window: a product that wraps round the end of a region is accumulated
-after `vec_rotate` has turned the region round in place.
+A `Buffer` owns a flat list of canonical residues, private to this
+module: the checked `CoeffRegion.__setitem__` is the only public way to
+write one.  A `CoeffRegion` is a unit-stride window over one buffer,
+forward or reversed, and holds exactly the coefficients it covers.  Every
+product lands on one such window: a product that wraps round the end of
+a region is accumulated after `vec_rotate` has swapped the region's
+halves in place.
 
 None of the view operations copies coefficients; the only copying
 utilities are `snapshot` (test harness), `vec_copy`, which is also the one
@@ -13,7 +15,9 @@ place that zero-extends a shorter operand, and `vec_rotate`.
 This is the only module that knows how coefficients are stored.  Every
 arithmetic loop over storage is one of four strided kernels below --
 `_kron` (accumulate a run of coefficients of a product, by Kronecker
-substitution: blocks packed into integers and multiplied as integers),
+substitution: blocks packed into integers and multiplied as integers,
+with slots of whole bytes when that sheds at least `_SHED` bytes from a
+block and of whole 64-bit words otherwise),
 `_mac` (multiply-accumulate one output by a dot product of two windows),
 `_axpy` and `_scale` -- and the quadratic kernels of the other modules are
 short loops of calls to them.  Every product, whatever its size, is one
@@ -51,11 +55,13 @@ class AliasedOperands(ValueError):
 class Buffer:
     """A mutable array of field elements.
 
+    Its storage is private to this module: regions and the kernels below
+    read and write it, and `CoeffRegion.__setitem__` checks every value.
     Construction inside a measurement scope records the acquisition with
     the allocation guard.
     """
 
-    __slots__ = ("field", "data")
+    __slots__ = ("field", "_data")
 
     def __init__(self, field: Field, values):
         self.field = field
@@ -64,7 +70,7 @@ class Buffer:
         for v in data:
             if not isinstance(v, int) or not 0 <= v < p:
                 raise FieldError(f"not a canonical residue mod {p}: {v!r}")
-        self.data = data
+        self._data = data
         scope = field.scope
         if scope is not None:
             scope.alloc(len(data))
@@ -73,24 +79,24 @@ class Buffer:
     def zeros(cls, field: Field, n: int) -> "Buffer":
         buf = cls.__new__(cls)
         buf.field = field
-        buf.data = [0] * n
+        buf._data = [0] * n
         scope = field.scope
         if scope is not None:
             scope.alloc(n)
         return buf
 
     def __len__(self):
-        return len(self.data)
+        return len(self._data)
 
     def region(self, start: int = 0, stop: int | None = None) -> "CoeffRegion":
         if stop is None:
-            stop = len(self.data)
-        if not 0 <= start <= stop <= len(self.data):
-            raise IndexError(f"window [{start}, {stop}) outside buffer of {len(self.data)}")
+            stop = len(self._data)
+        if not 0 <= start <= stop <= len(self._data):
+            raise IndexError(f"window [{start}, {stop}) outside buffer of {len(self._data)}")
         return CoeffRegion(self, start, stop - start, 1)
 
     def __repr__(self):
-        return f"Buffer(p={self.field.p}, {self.data!r})"
+        return f"Buffer(p={self.field.p}, {self._data!r})"
 
 
 class CoeffRegion:
@@ -118,12 +124,12 @@ class CoeffRegion:
     def __getitem__(self, k: int) -> int:
         if k < 0 or k >= self.length:
             raise IndexError(k)
-        return self.buf.data[self.start + k * self.step]
+        return self.buf._data[self.start + k * self.step]
 
     def __setitem__(self, k: int, v: int):
         if k < 0 or k >= self.length:
             raise IndexError(k)
-        self.buf.data[self.start + k * self.step] = self.buf.field.check(v)
+        self.buf._data[self.start + k * self.step] = self.buf.field.check(v)
 
     def sub(self, lo: int, hi: int) -> "CoeffRegion":
         """Logical sub-window [lo, hi); must lie inside the region."""
@@ -213,6 +219,8 @@ def snapshot(*regions) -> Snapshot:
 
 _SHORT = 16     # longest dot product that `_mac` sums by an index loop
 _BLOCK = 128    # longest window a kernel takes of an operand at once
+_SHED = 256     # fewest bytes byte-wide slots must take off a packed block
+_SWAP = byteorder == "big"      # packed integers are little-endian; native words swap to match
 assert array("Q").itemsize == 8
 
 
@@ -240,8 +248,8 @@ def _mac(dst: CoeffRegion, k: int, s: int, t: int,
     if (k < 0 or i < 0 or j < 0
             or k >= dst.length or i + n > a.length or j + n > b.length):
         raise VirtualWrite("kernel access outside a region's coefficients")
-    da = a.buf.data
-    db = b.buf.data
+    da = a.buf._data
+    db = b.buf._data
     acc = 0
     if n <= _SHORT:
         sa = a.step
@@ -256,18 +264,32 @@ def _mac(dst: CoeffRegion, k: int, s: int, t: int,
         for off in range(0, n, _BLOCK):
             c = min(_BLOCK, n - off)
             acc += sum(map(mul, da[_window(a, i + off, c)], db[_window(b, j + off, c)]))
-    dd = dst.buf.data
+    dd = dst.buf._data
     kk = dst.start + k * dst.step
     dd[kk] = (s * dd[kk] + t * acc) % dst.buf.field.p
 
 
-def _pack(r: CoeffRegion, i: int, words: int) -> int:
-    """sum_u r[i+u] * 2^(64*words*u) over the block u < min(`_BLOCK`, len r - i)."""
-    v = array("Q", r.buf.data[_window(r, i, min(_BLOCK, r.length - i))])
-    if words > 1:
-        v, u = array("Q", bytes(8 * words * len(v))), v
-        v[::words] = u
-    return int.from_bytes(v, byteorder)
+def _pack(r: CoeffRegion, i: int, slot: int, lanes: int) -> int:
+    """sum_u r[i+u] * 2^(8*slot*u) over the block u < min(`_BLOCK`, len r - i).
+
+    `slot` is in bytes.  With `lanes` 0 a slot is whole 64-bit words and
+    the block's words are spread slot/8 apart; otherwise only the `lanes`
+    low bytes of each value are copied, one strided slice per byte, into
+    zeroed slots.
+    """
+    v = array("Q", r.buf._data[_window(r, i, min(_BLOCK, r.length - i))])
+    if _SWAP:
+        v.byteswap()
+    if lanes:
+        vb = v.tobytes()
+        w = bytearray(slot * len(v))
+        for j in range(lanes):
+            w[j::slot] = vb[j::8]
+        return int.from_bytes(w, "little")
+    if slot > 8:
+        v, u = array("Q", bytes(slot * len(v))), v
+        v[::slot >> 3] = u
+    return int.from_bytes(v, "little")
 
 
 def _kron(dst: CoeffRegion, s: int, t: int, a: CoeffRegion, b: CoeffRegion,
@@ -275,40 +297,64 @@ def _kron(dst: CoeffRegion, s: int, t: int, a: CoeffRegion, b: CoeffRegion,
     """dst[k] <- s*dst[k] + t*sum_{i+j=shift+k} a[i]*b[j] for k < len(dst).
 
     Kronecker substitution over blocks of at most `_BLOCK` coefficients.
-    Each slot of a packed block gets whole 64-bit words, enough for
-    min(len a, len b)*(p-1)^2, so an exact sum never carries into the next
-    slot.  The product's block starting at position k is the sum of the
-    integer products A_I*B_J over block pairs with I + J = k/`_BLOCK`,
-    plus the upper half of the previous block's sum; its low slots are
-    unpacked once each and reduced once.  The temporaries are a few
-    integers of at most 2*`_BLOCK` slots and one list of `_BLOCK` ints,
-    whatever the lengths.  A block of dst is written only after all of
-    its products are formed, so the triangular multiply may write its own
-    operand b (dst = b, shift = len b - 1): each b[i] is last read in the
-    block that writes it.  a and b must be nonempty.
+    Each slot of a packed block holds min(len a, len b)*(p-1)^2, so an
+    exact sum never carries into the next slot.  A slot is that many bits
+    rounded up to whole bytes (5 for p = 65521 up to 256 coefficients, 17
+    for 2^61 - 1, 1 for GF(2) up to 255) when that makes a block of
+    min(len a, len b, `_BLOCK`) slots at least `_SHED` bytes shorter than
+    whole 64-bit words would, and whole words otherwise: below that,
+    copying byte lanes costs more than the shorter integer product saves.
+    So GF(2) and 2^31 - 1 take byte slots from 37 coefficients, p = 65521
+    from 86 and 2^61 - 1 from 65.  The product's block starting at
+    position k is the sum of the integer products A_I*B_J over block
+    pairs with I + J = k/`_BLOCK`, plus the upper half of the previous
+    block's sum; its low slots are copied into 64-bit words, joined by
+    strided word slices when a value needs more than one, and reduced
+    once each.  The temporaries are a few integers, byte strings and
+    lists of at most 2*`_BLOCK` slots, whatever the lengths.  A block of
+    dst is written only after all of its products are formed, so the
+    triangular multiply may write its own operand b (dst = b, shift =
+    len b - 1): each b[i] is last read in the block that writes it.  a
+    and b must be nonempty.
     """
     la, lb, n = a.length, b.length, dst.length
     p = dst.buf.field.p
-    words = -(-(min(la, lb) * (p - 1) ** 2).bit_length() // 64)
-    slot = 8 * words
+    short = min(la, lb)
+    bits = (short * (p - 1) ** 2).bit_length()
+    words = -(-bits // 64)
+    slot = 8 * words                    # bytes
+    size = -(-bits // 8)                # bytes a byte-wide slot needs
+    lanes = 0
+    if min(short, _BLOCK) * (slot - size) >= _SHED:
+        slot = size
+        lanes = -(-(p - 1).bit_length() // 8)
     reach = (lb - 1) // _BLOCK * _BLOCK     # start of b's last block
-    dd = dst.buf.data
+    dd = dst.buf._data
     carry = 0
     # from the lowest block whose product reaches position shift
     for k in range(max((shift + 1) // _BLOCK * _BLOCK - _BLOCK, 0), shift + n, _BLOCK):
         z = carry
         for i in range(k - reach if k > reach else 0, k + 1 if k < la else la, _BLOCK):
-            z += _pack(a, i, words) * _pack(b, k - i, words)
+            z += _pack(a, i, slot, lanes) * _pack(b, k - i, slot, lanes)
         carry = z >> (8 * slot * _BLOCK)
         if k + _BLOCK <= shift:         # formed only for its carry
             continue
         lo, hi = shift - k if shift > k else 0, min(shift + n - k, _BLOCK)
-        zb = z.to_bytes(2 * slot * _BLOCK, byteorder)
-        if words == 1:
-            vals = array("Q", zb[8 * lo:8 * hi])
+        zb = z.to_bytes(2 * slot * _BLOCK, "little")
+        if lanes:
+            w = bytearray(8 * words * (hi - lo))
+            for j in range(slot):
+                w[j::8 * words] = zb[slot * lo + j:slot * hi:slot]
+            vals = array("Q", w)
         else:
-            vals = [int.from_bytes(zb[u:u + slot], byteorder)
-                    for u in range(slot * lo, slot * hi, slot)]
+            vals = array("Q", zb[slot * lo:slot * hi])
+        if _SWAP:
+            vals.byteswap()
+        if words > 1:                   # top word first, each lower one shifted in
+            joined = vals[words - 1::words]
+            for j in range(words - 2, -1, -1):
+                joined = [x << 64 | y for x, y in zip(joined, vals[j::words])]
+            vals = joined
         sl = _window(dst, k + lo - shift, hi - lo)
         dd[sl] = [(s * x + t * v) % p for x, v in zip(dd[sl], vals)]
 
@@ -317,10 +363,10 @@ def _axpy(dst: CoeffRegion, i: int, s: int, src: CoeffRegion, j: int, n: int) ->
     """dst[i+u] += s*src[j+u] for u < n; the windows must not overlap unless equal."""
     if i < 0 or j < 0 or i + n > dst.length or j + n > src.length:
         raise VirtualWrite("kernel access outside a region's coefficients")
-    dd = dst.buf.data
+    dd = dst.buf._data
     ds = dst.step
     di = dst.start + i * ds
-    sd = src.buf.data
+    sd = src.buf._data
     ss = src.step
     si = src.start + j * ss
     p = dst.buf.field.p
@@ -332,7 +378,7 @@ def _axpy(dst: CoeffRegion, i: int, s: int, src: CoeffRegion, j: int, n: int) ->
 
 def _scale(dst: CoeffRegion, s: int) -> None:
     """dst *= s, element-wise."""
-    dd, ds, di = dst.buf.data, dst.step, dst.start
+    dd, ds, di = dst.buf._data, dst.step, dst.start
     p = dst.buf.field.p
     for _ in range(dst.length):
         dd[di] = dd[di] * s % p
@@ -388,8 +434,8 @@ def vec_copy(dst: CoeffRegion, src: CoeffRegion) -> None:
     n = src.length
     if n > dst.length:
         raise ValueError(f"source of {n} does not fit a destination of {dst.length}")
-    dd, ds, di = dst.buf.data, dst.step, dst.start
-    sd, ss, si = src.buf.data, src.step, src.start
+    dd, ds, di = dst.buf._data, dst.step, dst.start
+    sd, ss, si = src.buf._data, src.step, src.start
     for _ in range(n):
         dd[di] = sd[si]
         di += ds
@@ -400,27 +446,17 @@ def vec_copy(dst: CoeffRegion, src: CoeffRegion) -> None:
 
 
 def vec_rotate(dst: CoeffRegion, k: int) -> None:
-    """dst <- dst[k:] + dst[:k] for 0 <= k <= len(dst), by three reversals.
+    """dst <- dst[k:] + dst[:k] for 2k = len(dst): the two halves swap places.
 
-    A rotation by exactly half swaps the two halves instead: n/2 swaps,
-    not n.  Data movement, not a field operation, so nothing is counted;
-    swaps in place, so nothing is allocated.
+    k swaps.  Data movement, not a field operation, so nothing is counted;
+    swaps in place, so nothing is allocated.  Any other k raises
+    `ValueError` before a coefficient moves.
     """
-    n = dst.length
-    if not 0 <= k <= n:
-        raise ValueError(f"rotation by {k} outside a region of {n}")
-    dd, ds, d0 = dst.buf.data, dst.step, dst.start
-    if 2 * k == n:
-        i, j = d0, d0 + k * ds
-        for _ in range(k):
-            dd[i], dd[j] = dd[j], dd[i]
-            i += ds
-            j += ds
-        return
-    for lo, hi in ((0, k), (k, n), (0, n)):
-        i = d0 + lo * ds
-        j = d0 + (hi - 1) * ds
-        for _ in range((hi - lo) // 2):
-            dd[i], dd[j] = dd[j], dd[i]
-            i += ds
-            j -= ds
+    if 2 * k != dst.length:
+        raise ValueError(f"rotation by {k} does not swap the halves of a region of {dst.length}")
+    dd, ds = dst.buf._data, dst.step
+    i, j = dst.start, dst.start + k * ds
+    for _ in range(k):
+        dd[i], dd[j] = dd[j], dd[i]
+        i += ds
+        j += ds

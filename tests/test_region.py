@@ -108,6 +108,16 @@ def test_buffer_allocation_is_recorded():
     assert scope.peak_aux == 15
 
 
+def test_buffer_storage_is_reached_only_through_regions():
+    # the checked CoeffRegion.__setitem__ is the only public write path, so
+    # no write can leave a non-canonical value for a kernel to truncate
+    buf = Buffer(field(7), [1, 2])
+    assert not hasattr(buf, "data")
+    with pytest.raises(AttributeError):
+        buf.data = [9, 9]
+    assert buf.region().to_list() == [1, 2]
+
+
 def test_view_operations_do_not_allocate():
     f = field(7)
     r = poly_region(f, list(range(7)))
@@ -170,38 +180,36 @@ def test_vec_copy_onto_itself_is_a_copy():
     assert r.to_list() == [4, 5, 6]
 
 
-@given(st.integers(0, 40), st.integers(0, 5), st.integers(0, 5), st.booleans())
-# rotations by exactly n/2 swap the halves: forward and reversed views,
-# including a reversed window that ends at physical index 0
-@example(32, 0, 0, True)
-@example(32, 3, 2, True)
-@example(32, 0, 4, False)
-@example(2, 0, 0, True)
-def test_vec_rotate_turns_a_window_round_in_place(n, before, after, rev):
+@given(st.integers(0, 20), st.integers(0, 5), st.integers(0, 5), st.booleans())
+# forward and reversed views, including a reversed window that ends at
+# physical index 0
+@example(16, 0, 0, True)
+@example(16, 3, 2, True)
+@example(16, 0, 4, False)
+@example(1, 0, 0, True)
+def test_vec_rotate_turns_a_window_round_in_place(half, before, after, rev):
     f = field(65521)
-    cells = list(range(1, before + n + after + 1))
+    n = 2 * half
+    cells = list(range(1, before + n + 1 + after + 1))
     whole = poly_region(f, cells)
     r = whole.sub(before, before + n)
+    odd = whole.sub(before, before + n + 1)
     if rev:
-        r = r.reversed()
-    for k in range(n + 1):
-        old = r.to_list()
-        with measure(f, max_aux=0) as scope:
-            vec_rotate(r, k)
-            assert r.to_list() == old[k:] + old[:k]
-            vec_rotate(r, n - k)
-        assert scope.counter.total == 0
-        assert whole.to_list() == cells
-    if n % 2 == 0:
-        old = r.to_list()
-        vec_rotate(r, n // 2)
-        assert r.to_list() == old[n // 2:] + old[:n // 2]
+        r, odd = r.reversed(), odd.reversed()
+    old = r.to_list()
+    with measure(f, max_aux=0) as scope:
+        vec_rotate(r, half)
+        assert r.to_list() == old[half:] + old[:half]
         assert whole.to_list()[:before] == cells[:before]
         assert whole.to_list()[before + n:] == cells[before + n:]
-        vec_rotate(r, n // 2)
-        assert whole.to_list() == cells
-    with pytest.raises(ValueError):
-        vec_rotate(r, n + 1)
+        vec_rotate(r, half)
+    assert scope.counter.total == 0
+    assert whole.to_list() == cells
+    # any other rotation, and any rotation of an odd window, is refused
+    # before a cell moves
+    for region, k in ((r, half - 1), (r, half + 1), (r, n + 1), (odd, half), (odd, half + 1)):
+        with pytest.raises(ValueError):
+            vec_rotate(region, k)
     assert whole.to_list() == cells
 
 
@@ -363,4 +371,4 @@ def test_only_region_touches_coefficient_storage():
     for path in Path(ffpoly.__file__).parent.glob("*.py"):
         if path.name != "region.py":
             text = path.read_text()
-            assert ".raw(" not in text and ".buf.data" not in text, path.name
+            assert ".raw(" not in text and "._data" not in text, path.name

@@ -1,12 +1,14 @@
 """The public API against the `reference` oracle at word-sized primes.
 
 At p = 2^31 - 1 and 2^61 - 1 the packed product kernel sizes its slots
-at one, two or three 64-bit words, which the small primes of
-`conftest.FIELD_PRIMES` never need.  Every call runs under thresholds 1,
-4 and 16, so the recursions hand the kernel many shapes, and every
-operand the contract restores is checked with `snapshot`.  The shapes
-reach products of more than 65 coefficients a side, where 2^61 - 1 needs
-three-word slots.
+at one, two or three 64-bit words on short operands and at 9 to 17 bytes
+on longer ones (from 37 and 65 coefficients a side), each value unpacked
+from two or three words, which the small primes of
+`conftest.FIELD_PRIMES` never need.  Every call runs
+under thresholds 1, 4 and 16, so the recursions hand the kernel many
+shapes, and every operand the contract restores is checked with
+`snapshot`.  The shapes reach products of more than 65 coefficients a
+side, where 2^61 - 1 needs 17-byte slots.
 """
 
 import random
